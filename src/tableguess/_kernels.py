@@ -1,26 +1,21 @@
 """Hot numeric kernels: random-permutation sampling and full enumeration.
 
-Two interchangeable backends live here. The default is numba (``@njit``,
-compiled once and cached on disk); a pure-numpy fallback covers machines
-without numba. Selection is per call via the ``TABLEGUESS_BACKEND``
-environment variable (``numba`` | ``numpy``; unset/``auto`` picks numba
-when available).
+Both are verification oracles for the closed forms in ``permstats``; no
+product path runs them. Each has one numpy implementation.
 
-Both backends must produce bit-identical results. Randomness is therefore
-counter-based: the value consumed at shuffle step ``i`` of sample ``s`` is a
-SplitMix64-style hash of ``(seed, s, i, retry)``, so results cannot depend
-on chunk size, vectorisation order, or thread count. Bounded draws use
-modulo with rejection, which keeps the shuffle exactly uniform.
+Randomness is counter-based: the value consumed at shuffle step ``i`` of
+sample ``s`` is a SplitMix64-style hash of ``(seed, s, i, retry)``, so
+results cannot depend on chunk size or vectorisation order. Bounded draws
+use modulo with rejection, which keeps the shuffle exactly uniform.
+The moments are exact for any n: squared scores are summed in Python ints,
+and a block is small enough that its int64 score sum cannot wrap.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
-
-BACKEND_ENV = "TABLEGUESS_BACKEND"
 
 _MASK = (1 << 64) - 1
 _M1_INT = 0xBF58476D1CE4E5B9
@@ -29,41 +24,16 @@ _SAMPLE_STRIDE_INT = 0x9E3779B97F4A7C15
 _STEP_STRIDE_INT = 0xC2B2AE3D27D4EB4F
 _SEED_SALT = 0x8AD64C65E2D4B97F
 
-# uint64 module-level constants: numba freezes these with the right dtype,
-# which sidesteps its int-literal width limits inside jitted code.
 _M1 = np.uint64(_M1_INT)
 _M2 = np.uint64(_M2_INT)
 _SAMPLE_STRIDE = np.uint64(_SAMPLE_STRIDE_INT)
-_STEP_STRIDE = np.uint64(_STEP_STRIDE_INT)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
-_U0 = np.uint64(0)
-_U1 = np.uint64(1)
-_MAXU = np.uint64(_MASK)
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-
-def active_backend() -> str:
-    """Resolve the backend name currently selected by the environment."""
-    value = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if value in ("", "auto"):
-        return "numba" if HAS_NUMBA else "numpy"
-    if value == "numpy":
-        return "numpy"
-    if value == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError(
-                f"{BACKEND_ENV}=numba requested but numba is not installed"
-            )
-        return "numba"
-    raise ValueError(f"unsupported {BACKEND_ENV} value: {value!r}")
+# Memory budget of one int64 permutation block in the sampler: 32768 rows
+# at n = 20, and a few hundred rows at n in the thousands.
+_BLOCK_BYTES = 5 << 20
 
 
 def _mix64_int(z: int) -> int:
@@ -74,7 +44,7 @@ def _mix64_int(z: int) -> int:
 
 
 def seed_hash(seed: int) -> int:
-    """Condense a user seed into the 64-bit state both backends start from."""
+    """Condense a user seed into the 64-bit state the sampler starts from."""
     return _mix64_int((int(seed) & _MASK) ^ _SEED_SALT)
 
 
@@ -85,8 +55,10 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 
 def _mc_moments_numpy(
-    n: int, samples: int, h: int, chunk: int = 1 << 15
+    n: int, samples: int, h: int, chunk: int | None = None
 ) -> tuple[int, int, int, int]:
+    if chunk is None:
+        chunk = max(1, _BLOCK_BYTES // (8 * n))
     idx = np.arange(n, dtype=np.int64)
     rows_full = np.arange(chunk)
     total = 0
@@ -120,7 +92,7 @@ def _mc_moments_numpy(
             perm[rows, j] = vi
         scores = np.abs(perm - idx).sum(axis=1)
         total += int(scores.sum())
-        total_sq += int((scores * scores).sum())
+        total_sq += sum(s * s for s in scores.tolist())
         cmin = int(scores.min())
         cmax = int(scores.max())
         lo = cmin if lo is None else min(lo, cmin)
@@ -143,91 +115,13 @@ def _dist_counts_numpy(n: int, chunk: int = 40320) -> np.ndarray:
     return counts
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _mix64_u64(z):
-        z = (z ^ (z >> _S30)) * _M1
-        z = (z ^ (z >> _S27)) * _M2
-        return z ^ (z >> _S31)
-
-    @njit(cache=True)
-    def _mc_moments_numba(n, samples, h):
-        perm = np.empty(n, np.int64)
-        total = np.int64(0)
-        total_sq = np.int64(0)
-        lo = np.int64(1) << np.int64(62)
-        hi = np.int64(-1)
-        for s in range(samples):
-            base = _mix64_u64(h ^ (np.uint64(s) * _SAMPLE_STRIDE))
-            for k in range(n):
-                perm[k] = k
-            for i in range(n - 1, 0, -1):
-                bound = np.uint64(i + 1)
-                step = np.uint64(i) * _STEP_STRIDE
-                u = _mix64_u64(base ^ step)
-                rem = (_MAXU % bound + _U1) % bound
-                if rem != _U0:
-                    threshold = _U0 - rem
-                    retry = _U1
-                    while u >= threshold:
-                        u = _mix64_u64(base ^ step ^ retry)
-                        retry += _U1
-                j = np.int64(u % bound)
-                tmp = perm[i]
-                perm[i] = perm[j]
-                perm[j] = tmp
-            score = np.int64(0)
-            for k in range(n):
-                d = perm[k] - k
-                score += d if d >= 0 else -d
-            total += score
-            total_sq += score * score
-            if score < lo:
-                lo = score
-            if score > hi:
-                hi = score
-        return total, total_sq, lo, hi
-
-    @njit(cache=True)
-    def _dist_counts_numba(n):
-        counts = np.zeros(n * n // 2 + 1, np.int64)
-        a = np.arange(n)
-        while True:
-            score = 0
-            for k in range(n):
-                d = a[k] - k
-                score += d if d >= 0 else -d
-            counts[score] += 1
-            # advance to the lexicographic successor; stop after the last one
-            i = n - 2
-            while i >= 0 and a[i] >= a[i + 1]:
-                i -= 1
-            if i < 0:
-                break
-            j = n - 1
-            while a[j] <= a[i]:
-                j -= 1
-            a[i], a[j] = a[j], a[i]
-            lo, hi = i + 1, n - 1
-            while lo < hi:
-                a[lo], a[hi] = a[hi], a[lo]
-                lo += 1
-                hi -= 1
-        return counts
-
-
 def mc_score_moments(n: int, samples: int, seed: int) -> tuple[int, int, int, int]:
     """Exact (sum, sum of squares, min, max) of the footrule score over
     ``samples`` uniform random permutations of size ``n``.
 
-    Bit-identical for a fixed (n, samples, seed) on either backend.
+    Bit-identical for a fixed (n, samples, seed).
     """
-    h = seed_hash(seed)
-    if active_backend() == "numba":
-        total, total_sq, lo, hi = _mc_moments_numba(n, samples, np.uint64(h))
-        return int(total), int(total_sq), int(lo), int(hi)
-    return _mc_moments_numpy(n, samples, h)
+    return _mc_moments_numpy(n, samples, seed_hash(seed))
 
 
 def score_distribution_counts(n: int) -> np.ndarray:
@@ -235,6 +129,4 @@ def score_distribution_counts(n: int) -> np.ndarray:
 
     Index s holds the number of permutations with score s; odd indices stay 0.
     """
-    if active_backend() == "numba":
-        return _dist_counts_numba(n)
     return _dist_counts_numpy(n)

@@ -80,7 +80,7 @@ def read_table_file(path: str | Path) -> list[str]:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    stats = permstats.score_stats(args.n, oracle_cap=args.oracle_cap)
+    stats = permstats.score_stats(args.n)
     fields: list[tuple[str, object]] = [
         ("n", stats.n),
         ("expected_score", stats.expected_score),
@@ -107,9 +107,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["field", "exact", "decimal"])
             for name, value in fields:
-                if value is None:
-                    writer.writerow([name, "", ""])
-                elif isinstance(value, Fraction):
+                if isinstance(value, Fraction):
                     writer.writerow([name, str(value), repr(float(value))])
                 elif isinstance(value, bool):
                     writer.writerow([name, str(value).lower(), str(value).lower()])
@@ -147,14 +145,11 @@ def _verify_exact(lo: int, hi: int, cap: int) -> tuple[list[str], bool]:
     for n in range(lo, hi + 1):
         dist = permstats.brute_force_distribution(n, max_n=cap)
         mean, variance, top, top_count = permstats.distribution_moments(dist)
-        stats = permstats.score_stats(n, oracle_cap=cap)
+        stats = permstats.score_stats(n)
         check(n, "expected_score", mean, stats.expected_score)
         check(n, "variance_score", variance, stats.variance_score)
         check(n, "max_score", top, stats.max_score)
-        if n % 2 == 0:
-            check(n, "worst_count", top_count, stats.worst_count)
-        else:
-            lines.append(f"n={n} worst_count: SKIP (no closed form for odd n)")
+        check(n, "worst_count", top_count, stats.worst_count)
     return lines, ok
 
 
@@ -307,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", parents=[output_flags], help="exact random-guess statistics for a league of size n"
     )
     p.add_argument("--n", type=int, required=True, help="league size")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser(

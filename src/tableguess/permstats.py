@@ -158,10 +158,9 @@ class ScoreStats:
     """Exact distributional summary of the score and MAE of a uniformly
     random guess for a league of size n.
 
-    For odd n the maximum and its count fall outside the closed-form theory
-    (which assumes n even): the maximum uses the floor(n^2/2) generalisation,
-    the count comes from enumeration and is None beyond the oracle cap. Such
-    values carry ``generalized=True``.
+    The closed forms of Diaconis & Graham (1977) assume n even. For odd
+    n = 2m+1 the maximum is floor(n^2/2) and n * (m!)^2 permutations reach
+    it; such values carry ``generalized=True``.
     """
 
     n: int
@@ -171,37 +170,26 @@ class ScoreStats:
     variance_mae: Fraction
     max_score: int
     max_mae: Fraction
-    worst_count: int | None
-    worst_probability: Fraction | None
+    worst_count: int
+    worst_probability: Fraction
     correct_probability: Fraction
     generalized: bool
 
 
-def score_stats(n: int, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> ScoreStats:
+def score_stats(n: int) -> ScoreStats:
     """Evaluate every closed form exactly for a league of size n."""
     if n < 2:
         raise ValueError(f"league size must be at least 2, got {n}")
     expected_score = Fraction(n * n - 1, 3)
     variance_score = Fraction((n + 1) * (2 * n * n + 7), 45)
     max_score = n * n // 2
-    if n % 2 == 0:
-        worst_count: int | None = math.factorial(n // 2) ** 2
-        generalized = False
-    elif n <= oracle_cap:
-        counts = _kernels.score_distribution_counts(n)
-        top = max(s for s, c in enumerate(counts) if c)
-        if top != max_score:
-            raise AssertionError(
-                f"enumerated maximum {top} disagrees with floor(n^2/2) for n={n}"
-            )
-        worst_count = int(counts[top])
-        generalized = True
-    else:
-        worst_count = None
-        generalized = True
-    worst_probability = (
-        Fraction(worst_count, math.factorial(n)) if worst_count is not None else None
-    )
+    # Walking t = 1..n with k open positions (m = n // 2), a maximal
+    # permutation climbs k = 0..m in one way per step, descends k = m..0 in
+    # (m!)^2 ways and, for odd n, stays at k = m for one step in n ways.
+    generalized = n % 2 == 1
+    worst_count = math.factorial(n // 2) ** 2
+    if generalized:
+        worst_count *= n
     return ScoreStats(
         n=n,
         expected_score=expected_score,
@@ -211,7 +199,7 @@ def score_stats(n: int, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> ScoreStats:
         max_score=max_score,
         max_mae=Fraction(max_score, n),
         worst_count=worst_count,
-        worst_probability=worst_probability,
+        worst_probability=Fraction(worst_count, math.factorial(n)),
         correct_probability=Fraction(1, math.factorial(n)),
         generalized=generalized,
     )
@@ -278,8 +266,8 @@ class MonteCarloSummary:
 def monte_carlo_mae(n: int, samples: int, seed: int) -> MonteCarloSummary:
     """Sample ``samples`` uniform random guesses and summarise their MAE.
 
-    Reproducible for a fixed (n, samples, seed) regardless of backend,
-    chunking, or parallelism; see tableguess._kernels for the guarantee.
+    Reproducible for a fixed (n, samples, seed) regardless of chunking;
+    see tableguess._kernels for the guarantee.
     """
     if n < 2:
         raise ValueError(f"league size must be at least 2, got {n}")

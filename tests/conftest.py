@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from tableguess import league
+from tableguess import _kernels, league
 from tableguess.bundled import (
     MERSON_PREDICTION,
     PL_FINAL,
@@ -71,3 +71,17 @@ def flat_dataset() -> league.SeasonDataset:
 @pytest.fixture
 def drawish_dataset() -> league.SeasonDataset:
     return league.parse_matches(io.StringIO(DRAWISH_SEASON_CSV))
+
+
+@pytest.fixture
+def enumerated_sizes(monkeypatch) -> list[int]:
+    """League sizes passed to the enumeration kernel while the test runs."""
+    sizes: list[int] = []
+    counts = _kernels.score_distribution_counts
+
+    def spy(n: int):
+        sizes.append(n)
+        return counts(n)
+
+    monkeypatch.setattr(_kernels, "score_distribution_counts", spy)
+    return sizes

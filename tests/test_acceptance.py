@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from tableguess import league, permstats, predictor, regression
+from tableguess._kernels import mc_score_moments
 from tableguess.bundled import MERSON_PREDICTION, PL_FINAL, bundled_path
 from tableguess.cli import read_table_file
 from tableguess.league import synthetic_season
@@ -84,7 +85,6 @@ def test_c4_monte_carlo_consistency():
     assert score_stats(n).variance_mae == variance_mae
     tolerance = 3.0 * math.sqrt(float(variance_mae) / samples)
 
-    monte_carlo_mae(n, 100, seed)  # warm the jit cache
     start = time.perf_counter()
     first = monte_carlo_mae(n, samples, seed)
     elapsed = time.perf_counter() - start
@@ -92,6 +92,7 @@ def test_c4_monte_carlo_consistency():
 
     assert abs(float(first.mean) - 6.65) <= tolerance
     assert first == second, "same seed must reproduce bit-identical summaries"
+    assert mc_score_moments(n, samples, seed) == (132992568, 18063448160, 42, 200)
     assert elapsed < 10.0, f"sampling took {elapsed:.1f} s, budget is 10 s"
 
 

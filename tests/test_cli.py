@@ -71,6 +71,12 @@ class TestStats:
         assert payload["generalized"] is True
         assert payload["worst_count"] == 252
 
+    def test_odd_league_enumerates_nothing(self, capsys, enumerated_sizes):
+        code, out, _ = run(capsys, "stats", "--n", "9")
+        assert code == 0
+        assert "worst_count,5184,5184" in out
+        assert enumerated_sizes == []
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "stats.csv"
         code, out, _ = run(capsys, "stats", "--n", "4", "--output", str(target))
@@ -85,6 +91,13 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 24
+
+    def test_exact_range_enumerates_each_size_once(self, capsys, enumerated_sizes):
+        code, out, _ = run(capsys, "verify", "--exact", "2..9")
+        assert code == 0
+        assert enumerated_sizes == list(range(2, 10))
+        for n in range(2, 10):
+            assert f"n={n} worst_count: PASS" in out
 
     def test_exact_range_above_cap(self, capsys):
         code, _, err = run(capsys, "verify", "--exact", "2..12")

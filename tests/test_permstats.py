@@ -188,6 +188,28 @@ class TestRankingSerialisation:
             render_ranking(identity(3), fmt="xml")
 
 
+def _maximal_footrule(n: int) -> tuple[int, int]:
+    """(largest footrule score, number of permutations reaching it) by the
+    transfer-matrix walk: with k open positions, step t moves to k+1 in 1
+    way, stays at k in 2k+1 ways or drops to k-1 in k^2 ways, and the score
+    grows by twice the new k."""
+    best = {0: (0, 1)}  # k -> (largest half-score so far, ways to reach it)
+    for _ in range(n):
+        step: dict[int, tuple[int, int]] = {}
+        for k, (half, ways) in best.items():
+            for k2, w in ((k + 1, 1), (k, 2 * k + 1), (k - 1, k * k)):
+                if not w:
+                    continue
+                top, count = step.get(k2, (-1, 0))
+                if half + k2 > top:
+                    step[k2] = (half + k2, ways * w)
+                elif half + k2 == top:
+                    step[k2] = (top, count + ways * w)
+        best = step
+    half, ways = best[0]
+    return 2 * half, ways
+
+
 class TestScoreStats:
     def test_twenty_team_league(self):
         stats = score_stats(20)
@@ -220,10 +242,9 @@ class TestScoreStats:
             assert stats.expected_mae == stats.expected_score / n
             assert stats.variance_mae == stats.variance_score / n**2
             assert stats.max_mae == Fraction(stats.max_score, n)
-            if stats.worst_count is not None:
-                assert stats.worst_probability == Fraction(
-                    stats.worst_count, math.factorial(n)
-                )
+            assert stats.worst_probability == Fraction(
+                stats.worst_count, math.factorial(n)
+            )
 
     def test_odd_n_uses_enumeration_within_cap(self):
         stats = score_stats(3)
@@ -236,8 +257,13 @@ class TestScoreStats:
         stats = score_stats(11)
         assert stats.generalized
         assert stats.max_score == 60
-        assert stats.worst_count is None
-        assert stats.worst_probability is None
+        assert stats.worst_count == 11 * math.factorial(5) ** 2 == 158400
+        assert stats.worst_probability == Fraction(158400, math.factorial(11))
+
+    def test_worst_count_matches_the_transfer_matrix_walk(self):
+        for n in range(2, 32):
+            stats = score_stats(n)
+            assert (stats.max_score, stats.worst_count) == _maximal_footrule(n)
 
     def test_rejects_tiny_leagues(self):
         with pytest.raises(ValueError):

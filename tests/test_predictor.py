@@ -96,6 +96,11 @@ class TestGdStrategy:
 
 
 class TestEvaluateSeason:
+    def test_odd_league_enumerates_nothing(self, enumerated_sizes):
+        report = evaluate_season(league.synthetic_season(9))
+        assert report.n == 9
+        assert enumerated_sizes == []
+
     def test_final_round_rank_mae_is_zero(self, synthetic_dataset):
         report = evaluate_season(synthetic_dataset)
         last_rank = [

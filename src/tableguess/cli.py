@@ -22,6 +22,9 @@ from . import league, permstats, predictor, regression
 from .permstats import DEFAULT_ORACLE_CAP
 
 TABLE_FIELDS = ("position", "team")
+# Keeps every exact probability printable: the denominator n! must stay
+# under Python's 4300-digit limit for int-to-str conversion (1000! has 2568).
+STATS_MAX_N = 1000
 
 
 @contextlib.contextmanager
@@ -64,9 +67,15 @@ def read_table_file(path: str | Path) -> list[str]:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}: line {reader.line_num}"
             if len(row) != 2:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            entries.append((int(row[0]), row[1].strip()))
+                raise ValueError(f"{where}: malformed row {row!r}")
+            try:
+                entries.append((int(row[0]), row[1].strip()))
+            except ValueError:
+                raise ValueError(
+                    f"{where}: position must be an integer, got {row[0]!r}"
+                ) from None
         positions = sorted(pos for pos, _ in entries)
         if positions != list(range(1, len(entries) + 1)):
             raise ValueError(f"{path}: positions must be exactly 1..{len(entries)}")
@@ -80,6 +89,8 @@ def read_table_file(path: str | Path) -> list[str]:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    if args.n > STATS_MAX_N:
+        raise ValueError(f"--n must be at most {STATS_MAX_N}, got {args.n}")
     stats = permstats.score_stats(args.n)
     fields: list[tuple[str, object]] = [
         ("n", stats.n),

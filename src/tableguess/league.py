@@ -6,15 +6,22 @@ match. Standings use 3/1/0 points and a fully deterministic ordering:
 points desc, goal difference desc, goals for desc, team name asc. The name
 fallback makes every table a total order, which downstream code relies on
 to build valid permutations.
+
+A dataset is tallied once, when it is built: it carries a ``SeasonFrame``
+of cumulative per-team counts and table orders after each round, which
+the standings functions, ``predictor.evaluate_season`` and
+``regression.r2_curve`` read.
 """
 
 from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 from .permstats import Ranking
 
@@ -32,6 +39,9 @@ STANDINGS_FIELDS = (
     "gd",
     "points",
 )
+# Rounds and goals stay below this so that they and every cumulative sum
+# over a season fit the frame's int64 arrays.
+_FIELD_LIMIT = 2**31
 
 
 class MatchFileError(ValueError):
@@ -48,12 +58,70 @@ class MatchRecord:
     away_goals: int
 
     def __post_init__(self) -> None:
-        if self.round < 1:
-            raise ValueError(f"round must be >= 1, got {self.round}")
-        if self.home_goals < 0 or self.away_goals < 0:
-            raise ValueError("goals must be nonnegative")
+        if not 1 <= self.round < _FIELD_LIMIT:
+            raise ValueError(f"round must be in 1..{_FIELD_LIMIT - 1}, got {self.round}")
+        for goals in (self.home_goals, self.away_goals):
+            if not 0 <= goals < _FIELD_LIMIT:
+                raise ValueError(f"goals must be in 0..{_FIELD_LIMIT - 1}, got {goals}")
         if self.home_team == self.away_team:
             raise ValueError(f"{self.home_team!r} cannot play itself")
+
+
+class SeasonFrame:
+    """Cumulative per-team tallies of one season, one row per played round.
+
+    Every array has one column per team, in ``SeasonDataset.teams`` order,
+    which is name order. Row 0 is the table before any match and row k the
+    table after the k-th distinct round number that has a match, so rounds
+    without matches share a row and sparse round numbers cost no memory.
+    ``order[k]`` lists team columns in table order and ``places[k]`` gives
+    each team's place in it (1-based).
+    """
+
+    def __init__(self, teams: Sequence[str], matches: Sequence[MatchRecord]) -> None:
+        column = {team: i for i, team in enumerate(teams)}
+        size = len(matches)
+
+        def ints(values: Iterable[int]) -> np.ndarray:
+            return np.fromiter(values, np.int64, size)
+
+        rounds = ints(m.round for m in matches)
+        self.played_rounds, round_row = np.unique(rounds, return_inverse=True)
+        home = ints(column[m.home_team] for m in matches)
+        away = ints(column[m.away_team] for m in matches)
+        home_goals = ints(m.home_goals for m in matches)
+        away_goals = ints(m.away_goals for m in matches)
+        shape = (len(self.played_rounds) + 1, len(teams))
+        cells = (np.concatenate([round_row, round_row]) + 1) * shape[1]
+        cells += np.concatenate([home, away])
+        scored = np.concatenate([home_goals, away_goals])
+        conceded = np.concatenate([away_goals, home_goals])
+
+        def cumulative(weights: np.ndarray | None = None) -> np.ndarray:
+            per_round = np.bincount(cells, weights, minlength=shape[0] * shape[1])
+            return per_round.astype(np.int64).reshape(shape).cumsum(axis=0)
+
+        self.played = cumulative()
+        self.won = cumulative(scored > conceded)
+        self.drawn = cumulative(scored == conceded)
+        self.lost = cumulative(scored < conceded)
+        self.gf = cumulative(scored)
+        self.ga = cumulative(conceded)
+        self.gd = self.gf - self.ga
+        self.points = 3 * self.won + self.drawn
+        # lexsort is stable and columns are in name order, so equal teams
+        # stay in name order
+        self.order = np.lexsort((-self.gf, -self.gd, -self.points), axis=-1)
+        self.places = np.argsort(self.order, axis=-1) + 1
+
+    def row(self, rounds: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The frame rows holding the tables after each of ``rounds``."""
+        return np.searchsorted(self.played_rounds, rounds, side="right")
+
+    def by_final_place(self, values: np.ndarray) -> np.ndarray:
+        """A frame-shaped array's rows for rounds 1..R, columns in final-table order."""
+        rows = self.row(np.arange(1, self.played_rounds[-1] + 1))
+        return values[rows][:, self.order[-1]]
 
 
 @dataclass(frozen=True)
@@ -62,6 +130,10 @@ class SeasonDataset:
     teams: tuple[str, ...]
     matches: tuple[MatchRecord, ...]
     rounds: int
+    _frame: SeasonFrame = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_frame", SeasonFrame(self.teams, self.matches))
 
 
 @dataclass(frozen=True)
@@ -87,40 +159,43 @@ class StandingsTable:
 
 def build_dataset(matches: Iterable[MatchRecord]) -> SeasonDataset:
     """Assemble and validate a dataset from already-parsed match records."""
-    records = tuple(matches)
+    return _assemble(tuple(matches), None)
+
+
+def _assemble(
+    records: tuple[MatchRecord, ...], lines: Sequence[int] | None
+) -> SeasonDataset:
+    """Check for one season id and one match per team and round; an error
+    about ``records[i]`` names ``lines[i]`` when lines are given."""
     if not records:
         raise MatchFileError("no matches given")
     season = records[0].season
     seen: set[tuple[int, str]] = set()
-    teams: set[str] = set()
-    for m in records:
+    for i, m in enumerate(records):
+        home, away = (m.round, m.home_team), (m.round, m.away_team)
         if m.season != season:
-            raise MatchFileError(
-                f"mixed season ids in one dataset: {season!r} and {m.season!r}"
-            )
-        for team in (m.home_team, m.away_team):
-            key = (m.round, team)
-            if key in seen:
-                raise MatchFileError(
-                    f"team {team!r} appears twice in round {m.round}"
-                )
-            seen.add(key)
-            teams.add(team)
+            problem = f"mixed season ids {season!r} and {m.season!r}"
+        elif home in seen or away in seen:
+            team = m.home_team if home in seen else m.away_team
+            problem = f"team {team!r} appears twice in round {m.round}"
+        else:
+            seen.add(home)
+            seen.add(away)
+            continue
+        raise MatchFileError(problem if lines is None else f"line {lines[i]}: {problem}")
     return SeasonDataset(
         season=season,
-        teams=tuple(sorted(teams)),
+        teams=tuple(sorted({team for _, team in seen})),
         matches=records,
         rounds=max(m.round for m in records),
     )
 
 
-def _parse_int(value: str, field: str, line: int) -> int:
+def _parse_int(value: str, name: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise MatchFileError(
-            f"line {line}: {field} must be an integer, got {value!r}"
-        ) from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
@@ -140,8 +215,7 @@ def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
         )
     col = {name: header.index(name) for name in MATCH_FIELDS}
     matches: list[MatchRecord] = []
-    season: str | None = None
-    seen: set[tuple[int, str]] = set()
+    lines: list[int] = []
     for row in reader:
         line = reader.line_num
         if not row:
@@ -150,96 +224,51 @@ def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
             raise MatchFileError(
                 f"line {line}: expected {len(MATCH_FIELDS)} fields, got {len(row)}"
             )
-        rnd = _parse_int(row[col["round"]], "round", line)
-        home = row[col["home_team"]].strip()
-        away = row[col["away_team"]].strip()
-        record_season = row[col["season"]].strip()
         try:
             record = MatchRecord(
-                season=record_season,
-                round=rnd,
-                home_team=home,
-                away_team=away,
-                home_goals=_parse_int(row[col["home_goals"]], "home_goals", line),
-                away_goals=_parse_int(row[col["away_goals"]], "away_goals", line),
+                season=row[col["season"]].strip(),
+                round=_parse_int(row[col["round"]], "round"),
+                home_team=row[col["home_team"]].strip(),
+                away_team=row[col["away_team"]].strip(),
+                home_goals=_parse_int(row[col["home_goals"]], "home_goals"),
+                away_goals=_parse_int(row[col["away_goals"]], "away_goals"),
             )
         except ValueError as exc:
             raise MatchFileError(f"line {line}: {exc}") from None
-        if season is None:
-            season = record_season
-        elif record_season != season:
-            raise MatchFileError(
-                f"line {line}: mixed season ids {season!r} and {record_season!r}"
-            )
-        for team in (home, away):
-            key = (rnd, team)
-            if key in seen:
-                raise MatchFileError(
-                    f"line {line}: team {team!r} appears twice in round {rnd}"
-                )
-            seen.add(key)
         matches.append(record)
+        lines.append(line)
     if not matches:
         raise MatchFileError("empty input: no match rows")
-    return build_dataset(matches)
+    return _assemble(tuple(matches), lines)
 
 
-class _Tally:
-    __slots__ = ("played", "won", "drawn", "lost", "gf", "ga")
-
-    def __init__(self) -> None:
-        self.played = self.won = self.drawn = self.lost = self.gf = self.ga = 0
-
-    def add(self, scored: int, conceded: int) -> None:
-        self.played += 1
-        self.gf += scored
-        self.ga += conceded
-        if scored > conceded:
-            self.won += 1
-        elif scored == conceded:
-            self.drawn += 1
-        else:
-            self.lost += 1
-
-
-def _table(season: str, rnd: int, tallies: dict[str, _Tally]) -> StandingsTable:
-    def sort_key(item: tuple[str, _Tally]):
-        team, t = item
-        points = 3 * t.won + t.drawn
-        return (-points, -(t.gf - t.ga), -t.gf, team)
-
-    rows = []
-    for rank, (team, t) in enumerate(sorted(tallies.items(), key=sort_key), start=1):
-        rows.append(
-            StandingsRow(
-                team=team,
-                played=t.played,
-                won=t.won,
-                drawn=t.drawn,
-                lost=t.lost,
-                goals_for=t.gf,
-                goals_against=t.ga,
-                goal_difference=t.gf - t.ga,
-                points=3 * t.won + t.drawn,
-                rank=rank,
-            )
+def _tables(dataset: SeasonDataset, rounds: Sequence[int]) -> list[StandingsTable]:
+    frame = dataset._frame
+    rows = frame.row(rounds)
+    order = frame.order[rows]
+    columns = [order] + [
+        np.take_along_axis(c[rows], order, axis=-1)
+        for c in (
+            frame.played, frame.won, frame.drawn, frame.lost,
+            frame.gf, frame.ga, frame.gd, frame.points,
         )
-    return StandingsTable(season=season, round=rnd, rows=tuple(rows))
+    ]
+    return [
+        StandingsTable(
+            season=dataset.season,
+            round=rnd,
+            rows=tuple(
+                StandingsRow(dataset.teams[team], *counts, rank=rank)
+                for rank, (team, *counts) in enumerate(table, start=1)
+            ),
+        )
+        for rnd, table in zip(rounds, np.stack(columns, axis=-1).tolist())
+    ]
 
 
 def standings_series(dataset: SeasonDataset) -> list[StandingsTable]:
-    """Standings after each round 1..R, computed in one pass."""
-    tallies = {team: _Tally() for team in dataset.teams}
-    by_round: dict[int, list[MatchRecord]] = {}
-    for m in dataset.matches:
-        by_round.setdefault(m.round, []).append(m)
-    tables = []
-    for rnd in range(1, dataset.rounds + 1):
-        for m in by_round.get(rnd, ()):
-            tallies[m.home_team].add(m.home_goals, m.away_goals)
-            tallies[m.away_team].add(m.away_goals, m.home_goals)
-        tables.append(_table(dataset.season, rnd, tallies))
-    return tables
+    """Standings after each round 1..R."""
+    return _tables(dataset, range(1, dataset.rounds + 1))
 
 
 def standings_at_round(dataset: SeasonDataset, r: int) -> StandingsTable:
@@ -249,12 +278,7 @@ def standings_at_round(dataset: SeasonDataset, r: int) -> StandingsTable:
     """
     if not 1 <= r <= dataset.rounds:
         raise ValueError(f"round must be in 1..{dataset.rounds}, got {r}")
-    tallies = {team: _Tally() for team in dataset.teams}
-    for m in dataset.matches:
-        if m.round <= r:
-            tallies[m.home_team].add(m.home_goals, m.away_goals)
-            tallies[m.away_team].add(m.away_goals, m.home_goals)
-    return _table(dataset.season, r, tallies)
+    return _tables(dataset, [r])[0]
 
 
 def final_standings(dataset: SeasonDataset) -> StandingsTable:

@@ -95,7 +95,7 @@ def parse_ranking(text: str) -> Ranking:
     stripped = text.strip()
     if stripped.startswith("["):
         values = json.loads(stripped)
-        if not all(isinstance(v, int) for v in values):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
             raise ValueError("JSON ranking must be an array of integers")
     else:
         values = [int(line) for line in stripped.splitlines() if line.strip()]

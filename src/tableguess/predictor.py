@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Sequence
 
-from . import league, permstats
+import numpy as np
+
+from . import permstats
 from .league import SeasonDataset, StandingsTable
 from .permstats import Ranking
 
@@ -86,36 +88,40 @@ def evaluate_season(
     """Score both strategies at every round against the final table."""
     if not 0.0 < baseline_fraction:
         raise ValueError(f"baseline fraction must be positive, got {baseline_fraction}")
-    series = league.standings_series(dataset)
-    final_order = [row.team for row in series[-1].rows]
-    n = len(final_order)
+    frame = dataset._frame
+    n = len(dataset.teams)
     baseline = permstats.score_stats(n).expected_mae
     cutoff = baseline_fraction * float(baseline)
+    # the order of predicted_order_by_gd: goal difference, points, goals
+    # for, then name (the frame's column order, kept by the stable sort)
+    by_gd = np.lexsort((-frame.gf, -frame.points, -frame.gd), axis=-1)
+    places = {
+        STRATEGY_RANK: frame.by_final_place(frame.places),
+        STRATEGY_GD: frame.by_final_place(np.argsort(by_gd, axis=-1) + 1),
+    }
+    errors = {s: p - np.arange(1, n + 1) for s, p in places.items()}
+    abs_sums = {s: np.abs(d).sum(axis=1).tolist() for s, d in errors.items()}
+    sq_sums = {s: (d * d).sum(axis=1).tolist() for s, d in errors.items()}
     records: list[RoundForecast] = []
     threshold_rounds: dict[str, int | None] = {s: None for s in STRATEGIES}
     gd_better: list[int] = []
-    for table in series:
-        by_strategy: dict[str, Fraction] = {}
-        for strategy, predict in (
-            (STRATEGY_RANK, predict_by_rank),
-            (STRATEGY_GD, predict_by_gd),
-        ):
-            ranking = predict(table, final_order)
-            value = permstats.mae(ranking)
-            by_strategy[strategy] = value
+    for i in range(dataset.rounds):
+        rnd = i + 1
+        for strategy in STRATEGIES:
+            value = Fraction(abs_sums[strategy][i], n)
             records.append(
                 RoundForecast(
-                    round=table.round,
+                    round=rnd,
                     strategy=strategy,
-                    ranking=ranking,
+                    ranking=Ranking(tuple(places[strategy][i].tolist())),
                     mae=value,
-                    mse=permstats.mse(ranking),
+                    mse=Fraction(sq_sums[strategy][i], n),
                 )
             )
             if threshold_rounds[strategy] is None and float(value) < cutoff:
-                threshold_rounds[strategy] = table.round
-        if by_strategy[STRATEGY_GD] < by_strategy[STRATEGY_RANK]:
-            gd_better.append(table.round)
+                threshold_rounds[strategy] = rnd
+        if abs_sums[STRATEGY_GD][i] < abs_sums[STRATEGY_RANK][i]:
+            gd_better.append(rnd)
     return ForecastReport(
         season=dataset.season,
         n=n,

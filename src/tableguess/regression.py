@@ -15,7 +15,6 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from . import league
 from .league import SeasonDataset
 
 KIND_TABLE_RANK = "table_rank"
@@ -88,21 +87,18 @@ def r2_curve(dataset: SeasonDataset, kind: str) -> R2Curve:
         raise ValueError(f"kind must be one of {CURVE_KINDS}, got {kind!r}")
     if len(dataset.teams) < 3:
         raise ValueError("need at least 3 teams to fit per-round regressions")
-    series = league.standings_series(dataset)
-    final_order = [row.team for row in series[-1].rows]
-    y = [float(i) for i in range(1, len(final_order) + 1)]
+    frame = dataset._frame
+    values = frame.places if kind == KIND_TABLE_RANK else frame.gd
+    xs = frame.by_final_place(values).astype(np.float64)
+    y = [float(i) for i in range(1, len(dataset.teams) + 1)]
     points: list[tuple[int, float | None]] = []
-    for table in series:
-        if kind == KIND_TABLE_RANK:
-            x = [float(p) for p in league.rank_vector(table, final_order)]
-        else:
-            x = [float(g) for g in league.gd_vector(table, final_order)]
+    for rnd, x in enumerate(xs, start=1):
         try:
             fit = simple_ols(x, y)
         except DegeneratePredictorError:
-            points.append((table.round, None))
+            points.append((rnd, None))
         else:
-            points.append((table.round, fit.r_squared))
+            points.append((rnd, fit.r_squared))
     return R2Curve(season=dataset.season, kind=kind, points=tuple(points))
 
 

@@ -64,6 +64,18 @@ class TestStats:
         assert code == 2
         assert "error" in err
 
+    def test_rejects_n_above_the_limit(self, capsys):
+        code, out, err = run(capsys, "stats", "--n", "2000")
+        assert code == 2
+        assert out == ""
+        assert "--n must be at most 1000" in err
+
+    def test_largest_allowed_n_prints_exact_values(self, capsys):
+        code, out, _ = run(capsys, "stats", "--n", "1000", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["correct_probability"]["exact"].startswith("1/402387260077")
+
     def test_odd_league_is_flagged_generalized(self, capsys):
         code, out, _ = run(capsys, "stats", "--n", "7", "--format", "json")
         assert code == 0
@@ -313,6 +325,15 @@ class TestTableFiles:
         bad.write_text(json.dumps(["A", "A", "B"]), encoding="utf-8")
         with pytest.raises(ValueError):
             read_table_file(bad)
+
+    def test_bad_position_names_file_and_line(self, capsys, tmp_path, merson_files):
+        _, actual = merson_files
+        bad = tmp_path / "bad.csv"
+        bad.write_text("position,team\n1,A\nx,B\n", encoding="utf-8")
+        code, _, err = run(capsys, "mae", "--pred", str(bad), "--actual", actual)
+        assert code == 2
+        assert f"{bad}: line 3" in err
+        assert "'x'" in err
 
     def test_positions_may_come_unordered(self, tmp_path):
         table = tmp_path / "shuffled.csv"

@@ -58,6 +58,12 @@ class TestParsing:
         with pytest.raises(MatchFileError, match="line 2"):
             parse_text(HEADER + "S,1,A,B,-1,0\n")
 
+    def test_values_beyond_the_field_limit(self):
+        with pytest.raises(MatchFileError, match="line 2"):
+            parse_text(HEADER + "S,1,A,B,2147483648,0\n")
+        with pytest.raises(MatchFileError, match="line 2"):
+            parse_text(HEADER + "S,2147483648,A,B,0,0\n")
+
     def test_wrong_arity(self):
         with pytest.raises(MatchFileError, match="line 2"):
             parse_text(HEADER + "S,1,A,B,2\n")

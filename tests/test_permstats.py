@@ -181,6 +181,8 @@ class TestRankingSerialisation:
         with pytest.raises(ValueError):
             parse_ranking("[1, 2.5, 3]")
         with pytest.raises(ValueError):
+            parse_ranking("[true, 2]")
+        with pytest.raises(ValueError):
             parse_ranking("one\ntwo\n")
 
     def test_render_rejects_unknown_format(self):

@@ -1,0 +1,143 @@
+"""The season frame against a plain dict tally, and one tally per dataset."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tableguess import league, permstats, predictor, regression
+from tableguess.league import MatchRecord, StandingsRow, StandingsTable
+
+
+@st.composite
+def seasons(draw) -> list[MatchRecord]:
+    """Random pairings per round, with postponed matches, empty rounds and
+    all-draw rounds; names mix cases so that the name tie-break matters."""
+    teams = draw(
+        st.lists(st.text("abAB", min_size=1, max_size=3), min_size=2, max_size=24, unique=True)
+    )
+    matches = []
+    for rnd in range(1, draw(st.integers(1, 10)) + 1):
+        kind = draw(st.sampled_from(("empty", "draws", "mixed", "mixed")))
+        if kind == "empty":
+            continue
+        lineup = draw(st.permutations(teams))
+        for home, away in zip(lineup[::2], lineup[1::2]):
+            if draw(st.integers(0, 3)) == 0:  # postponed
+                continue
+            home_goals = draw(st.integers(0, 4))
+            away_goals = home_goals if kind == "draws" else draw(st.integers(0, 4))
+            matches.append(MatchRecord("S", rnd, home, away, home_goals, away_goals))
+    if not matches:
+        matches.append(MatchRecord("S", 1, teams[0], teams[1], 1, 1))
+    return matches
+
+
+def naive_table(matches: list[MatchRecord], upto: int) -> StandingsTable:
+    counts: dict[str, dict[str, int]] = {}
+    for m in matches:
+        for team in (m.home_team, m.away_team):
+            counts.setdefault(team, dict.fromkeys(("p", "w", "d", "l", "gf", "ga"), 0))
+    for m in matches:
+        if m.round > upto:
+            continue
+        for team, scored, conceded in (
+            (m.home_team, m.home_goals, m.away_goals),
+            (m.away_team, m.away_goals, m.home_goals),
+        ):
+            c = counts[team]
+            c["p"] += 1
+            c["gf"] += scored
+            c["ga"] += conceded
+            c["w" if scored > conceded else "d" if scored == conceded else "l"] += 1
+
+    def key(team: str):
+        c = counts[team]
+        return (-(3 * c["w"] + c["d"]), -(c["gf"] - c["ga"]), -c["gf"], team)
+
+    rows = []
+    for rank, team in enumerate(sorted(counts, key=key), start=1):
+        c = counts[team]
+        rows.append(
+            StandingsRow(
+                team, c["p"], c["w"], c["d"], c["l"], c["gf"], c["ga"],
+                c["gf"] - c["ga"], 3 * c["w"] + c["d"], rank,
+            )
+        )
+    return StandingsTable(season="S", round=upto, rows=tuple(rows))
+
+
+@settings(deadline=None)
+@given(seasons())
+def test_standings_equal_a_naive_tally(matches):
+    dataset = league.build_dataset(matches)
+    expected = [naive_table(matches, r) for r in range(1, dataset.rounds + 1)]
+    series = league.standings_series(dataset)
+    assert series == expected
+    for r, table in enumerate(expected, start=1):
+        assert league.standings_at_round(dataset, r) == table
+    assert league.final_standings(dataset) == expected[-1]
+    for row in series[-1].rows:
+        assert all(type(value) is int for value in vars(row).values() if value != row.team)
+
+
+@settings(deadline=None)
+@given(seasons())
+def test_evaluate_and_curves_equal_per_table_scoring(matches):
+    dataset = league.build_dataset(matches)
+    tables = [naive_table(matches, r) for r in range(1, dataset.rounds + 1)]
+    final_order = [row.team for row in tables[-1].rows]
+    n = len(final_order)
+    report = predictor.evaluate_season(dataset)
+    expected = []
+    for table in tables:
+        for strategy, predict in (
+            (predictor.STRATEGY_RANK, predictor.predict_by_rank),
+            (predictor.STRATEGY_GD, predictor.predict_by_gd),
+        ):
+            ranking = predict(table, final_order)
+            expected.append(
+                (table.round, strategy, ranking, permstats.mae(ranking), permstats.mse(ranking))
+            )
+    got = [(r.round, r.strategy, r.ranking, r.mae, r.mse) for r in report.records]
+    assert got == expected
+    assert report.baseline_expected_mae == Fraction(n * n - 1, 3 * n)
+    if n < 3:
+        return
+    y = list(range(1, n + 1))
+    for kind, vector in (
+        (regression.KIND_TABLE_RANK, league.rank_vector),
+        (regression.KIND_GOAL_DIFFERENCE, league.gd_vector),
+    ):
+        want = []
+        for table in tables:
+            x = [float(v) for v in vector(table, final_order)]
+            try:
+                want.append((table.round, regression.simple_ols(x, y).r_squared))
+            except regression.DegeneratePredictorError:
+                want.append((table.round, None))
+        assert regression.r2_curve(dataset, kind).points == tuple(want)
+
+
+def test_one_tally_serves_evaluate_and_both_curves(monkeypatch, synthetic_path):
+    frames = []
+    series_calls = []
+    frame_class = league.SeasonFrame
+    series = league.standings_series
+
+    def counting_frame(*args):
+        frames.append(args)
+        return frame_class(*args)
+
+    def counting_series(dataset):
+        series_calls.append(dataset)
+        return series(dataset)
+
+    monkeypatch.setattr(league, "SeasonFrame", counting_frame)
+    monkeypatch.setattr(league, "standings_series", counting_series)
+    dataset = league.parse_matches(synthetic_path)
+    predictor.evaluate_season(dataset)
+    for kind in regression.CURVE_KINDS:
+        regression.r2_curve(dataset, kind)
+    assert len(frames) == 1
+    assert series_calls == []

@@ -3,19 +3,30 @@
 Both are verification oracles for the closed forms in ``permstats``; no
 product path runs them. Each has one numpy implementation.
 
+Enumeration builds all n! permutations at once as an int8 array, by
+insertion: the rows for n come from the rows for n-1 with the value n-1
+inserted at each of the n positions. It is still brute force over every
+permutation, so it stays independent of the closed forms. Because the
+whole array is held in memory, n is capped at ``ENUM_MAX_N`` = 10
+(10! rows of 10 bytes, 36 MB).
+
 Randomness is counter-based: the value consumed at shuffle step ``i`` of
 sample ``s`` is a SplitMix64-style hash of ``(seed, s, i, retry)``, so
 results cannot depend on chunk size or vectorisation order. Bounded draws
 use modulo with rejection, which keeps the shuffle exactly uniform.
-The moments are exact for any n: squared scores are summed in Python ints,
-and a block is small enough that its int64 score sum cannot wrap.
+A block of samples is stored positions x samples, so the column a
+Fisher-Yates step swaps is one contiguous row, and the hash is mixed in
+place in reused buffers. The moments are exact for any n: each score is
+an int64 sum of int32 distances, and sums and squares are taken in Python
+ints over the distinct scores of a block.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
+
+# Largest n the enumeration builds; see the module docstring.
+ENUM_MAX_N = 10
 
 _MASK = (1 << 64) - 1
 _M1_INT = 0xBF58476D1CE4E5B9
@@ -31,8 +42,9 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
-# Memory budget of one int64 permutation block in the sampler: 32768 rows
-# at n = 20, and a few hundred rows at n in the thousands.
+# A sampler block holds _BLOCK_BYTES // (8 n) samples: 32768 at n = 20,
+# and a few hundred at n in the thousands. Its int32 positions take half
+# of this budget.
 _BLOCK_BYTES = 5 << 20
 
 
@@ -48,71 +60,124 @@ def seed_hash(seed: int) -> int:
     return _mix64_int((int(seed) & _MASK) ^ _SEED_SALT)
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """Apply the SplitMix64 finalizer to ``z`` in place; ``tmp`` is scratch."""
+    for shift, mult in ((_S30, _M1), (_S27, _M2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
 
 
 def _mc_moments_numpy(
     n: int, samples: int, h: int, chunk: int | None = None
 ) -> tuple[int, int, int, int]:
+    if not 0 < n < 1 << 31:
+        raise ValueError(f"league size must be in 1..2**31-1, got {n}")
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     if chunk is None:
         chunk = max(1, _BLOCK_BYTES // (8 * n))
-    idx = np.arange(n, dtype=np.int64)
-    rows_full = np.arange(chunk)
+    chunk = min(chunk, samples)
+    idx = np.arange(n, dtype=np.int32)
+    block = np.empty(n * chunk, dtype=np.int32)
+    base_buf = np.empty(chunk, dtype=np.uint64)
+    u_buf = np.empty(chunk, dtype=np.uint64)
+    tmp_buf = np.empty(chunk, dtype=np.uint64)
+    vi_buf = np.empty(chunk, dtype=np.int32)
+    vj_buf = np.empty(chunk, dtype=np.int32)
+    cols_full = np.arange(chunk, dtype=np.uint64)
+    h64 = np.uint64(h)
     total = 0
     total_sq = 0
-    lo: int | None = None
-    hi: int | None = None
+    lo, hi = n * n, 0
     for start in range(0, samples, chunk):
         m = min(chunk, samples - start)
+        flat = block[: n * m]
+        perm = flat.reshape(n, m)
+        perm[...] = idx[:, None]
+        base, u, tmp = base_buf[:m], u_buf[:m], tmp_buf[:m]
+        vi, vj, cols = vi_buf[:m], vj_buf[:m], cols_full[:m]
         sample_ids = np.arange(start, start + m, dtype=np.uint64)
-        base = _mix64_np(np.uint64(h) ^ (sample_ids * _SAMPLE_STRIDE))
-        perm = np.tile(idx, (m, 1))
-        rows = rows_full[:m]
+        np.multiply(sample_ids, _SAMPLE_STRIDE, out=base)
+        base ^= h64
+        _mix64_inplace(base, tmp)
+        stride = np.uint64(m)
         for i in range(n - 1, 0, -1):
             bound = i + 1
             step = np.uint64((i * _STEP_STRIDE_INT) & _MASK)
-            u = _mix64_np(base ^ step)
+            np.bitwise_xor(base, step, out=u)
+            _mix64_inplace(u, tmp)
             rem = (1 << 64) % bound
             if rem:
                 threshold = np.uint64((1 << 64) - rem)
-                retry = 0
-                while True:
-                    bad = u >= threshold
-                    if not bad.any():
-                        break
-                    retry += 1
-                    u = np.where(bad, _mix64_np(base ^ step ^ np.uint64(retry)), u)
-            j = (u % np.uint64(bound)).astype(np.int64)
-            vi = perm[rows, i]
-            vj = perm[rows, j]
-            perm[rows, i] = vj
-            perm[rows, j] = vi
-        scores = np.abs(perm - idx).sum(axis=1)
-        total += int(scores.sum())
-        total_sq += sum(s * s for s in scores.tolist())
-        cmin = int(scores.min())
-        cmax = int(scores.max())
-        lo = cmin if lo is None else min(lo, cmin)
-        hi = cmax if hi is None else max(hi, cmax)
-    assert lo is not None and hi is not None
+                if u.max() >= threshold:
+                    _redraw(u, base, step, threshold)
+            # flat index j * m + sample of each draw j = u % bound; floor
+            # division by a scalar is several times faster than remainder
+            b64 = np.uint64(bound)
+            np.floor_divide(u, b64, out=tmp)
+            tmp *= b64
+            np.subtract(u, tmp, out=tmp)
+            tmp *= stride
+            tmp += cols
+            where = tmp.view(np.int64)
+            np.take(flat, where, out=vj)
+            np.copyto(vi, perm[i])
+            perm[i] = vj
+            flat[where] = vi
+        perm -= idx[:, None]
+        np.abs(perm, out=perm)
+        scores = perm.sum(axis=0, dtype=np.int64)
+        values, counts = np.unique(scores, return_counts=True)
+        for v, c in zip(values.tolist(), counts.tolist()):
+            total += v * c
+            total_sq += v * v * c
+        lo = min(lo, int(values[0]))
+        hi = max(hi, int(values[-1]))
     return total, total_sq, lo, hi
 
 
-def _dist_counts_numpy(n: int, chunk: int = 40320) -> np.ndarray:
-    counts = np.zeros(n * n // 2 + 1, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    perms = itertools.permutations(range(n))
+def _redraw(
+    u: np.ndarray, base: np.ndarray, step: np.uint64, threshold: np.uint64
+) -> None:
+    """Rejection: redraw each value at or above ``threshold`` with the next
+    retry counter until none is left."""
+    retry = 0
     while True:
-        block = list(itertools.islice(perms, chunk))
-        if not block:
-            break
-        arr = np.array(block, dtype=np.int64)
-        scores = np.abs(arr - idx).sum(axis=1)
-        counts += np.bincount(scores, minlength=counts.size)
-    return counts
+        bad = u >= threshold
+        if not bad.any():
+            return
+        retry += 1
+        alt = base ^ step ^ np.uint64(retry)
+        _mix64_inplace(alt, np.empty_like(alt))
+        np.copyto(u, alt, where=bad)
+
+
+def _all_permutations(n: int) -> np.ndarray:
+    """Every permutation of 0..n-1 as one row of an (n!, n) int8 array."""
+    if n > ENUM_MAX_N:
+        raise ValueError(f"enumeration is capped at n = {ENUM_MAX_N}, got {n}")
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for k in range(n):
+        # insert the value k at each position p of every row of length k
+        grown = np.empty((k + 1, rows.shape[0], k + 1), dtype=np.int8)
+        for p in range(k + 1):
+            grown[p, :, :p] = rows[:, :p]
+            grown[p, :, p] = k
+            grown[p, :, p + 1 :] = rows[:, p:]
+        rows = grown.reshape(-1, k + 1)
+    return rows
+
+
+def _dist_counts_numpy(n: int) -> np.ndarray:
+    rows = _all_permutations(n)
+    rows -= np.arange(n, dtype=np.int8)
+    np.abs(rows, out=rows)
+    scores = rows.sum(axis=1, dtype=np.int16)
+    del rows  # free the rows before bincount copies the scores to intp
+    return np.bincount(scores, minlength=n * n // 2 + 1)
 
 
 def mc_score_moments(n: int, samples: int, seed: int) -> tuple[int, int, int, int]:
@@ -125,7 +190,7 @@ def mc_score_moments(n: int, samples: int, seed: int) -> tuple[int, int, int, in
 
 
 def score_distribution_counts(n: int) -> np.ndarray:
-    """Footrule score histogram over all n! permutations.
+    """Footrule score histogram over all n! permutations, n <= ``ENUM_MAX_N``.
 
     Index s holds the number of permutations with score s; odd indices stay 0.
     """

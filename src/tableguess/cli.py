@@ -25,6 +25,9 @@ TABLE_FIELDS = ("position", "team")
 # Keeps every exact probability printable: the denominator n! must stay
 # under Python's 4300-digit limit for int-to-str conversion (1000! has 2568).
 STATS_MAX_N = 1000
+# Bounds the time of one `verify --mc` run; the sampler's memory is bounded
+# by its block size whatever the count.
+MC_MAX_SAMPLES = 10**8
 
 
 @contextlib.contextmanager
@@ -178,9 +181,23 @@ def _verify_mc(n: int, samples: int, seed: int) -> tuple[list[str], bool]:
     return [line], verdict == "PASS"
 
 
+def _check_verify_limits(args: argparse.Namespace) -> None:
+    if args.oracle_cap > permstats.ORACLE_MAX_N:
+        raise ValueError(
+            f"--oracle-cap must be at most {permstats.ORACLE_MAX_N}, got {args.oracle_cap}"
+        )
+    if args.n is not None and args.n > STATS_MAX_N:
+        raise ValueError(f"--n must be at most {STATS_MAX_N}, got {args.n}")
+    if args.samples is not None and not 1 <= args.samples <= MC_MAX_SAMPLES:
+        raise ValueError(
+            f"--samples must be between 1 and {MC_MAX_SAMPLES}, got {args.samples}"
+        )
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.exact is None and not args.mc:
         raise ValueError("choose --exact RANGE and/or --mc")
+    _check_verify_limits(args)
     if args.samples is not None and args.seed is None:
         raise ValueError("--samples requires --seed for reproducibility")
     lines: list[str] = []

@@ -19,6 +19,9 @@ from typing import Hashable, Iterator, Sequence
 from . import _kernels
 
 DEFAULT_ORACLE_CAP = 9
+# Enumeration holds all n! permutations in memory at once, so no cap can
+# go above this.
+ORACLE_MAX_N = _kernels.ENUM_MAX_N
 
 
 class DimensionMismatchError(ValueError):
@@ -219,10 +222,16 @@ def brute_force_distribution(
     """Enumerate all n! permutations and tally their scores.
 
     The independent oracle behind the closed forms; refuses n above the cap
-    because the factorial blowup is never worth it for testing.
+    because the factorial blowup is never worth it for testing, and n above
+    ``ORACLE_MAX_N`` whatever the cap.
     """
     if n < 2:
         raise ValueError(f"league size must be at least 2, got {n}")
+    if n > ORACLE_MAX_N:
+        raise OracleCapError(
+            f"enumeration of {n}! permutations exceeds the ceiling of "
+            f"{ORACLE_MAX_N}, which no max_n can raise"
+        )
     if n > max_n:
         raise OracleCapError(
             f"enumeration of {n}! permutations exceeds the cap of {max_n}; "

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from tableguess import league, predictor, regression
-from tableguess.cli import main, read_table_file
+from tableguess.cli import MC_MAX_SAMPLES, STATS_MAX_N, main, read_table_file
+from tableguess.permstats import ORACLE_MAX_N
 from conftest import FLAT_SEASON_CSV, DRAWISH_SEASON_CSV
 
 
@@ -140,6 +141,45 @@ class TestVerify:
     def test_bad_range_syntax(self, capsys):
         code, _, err = run(capsys, "verify", "--exact", "2-8")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--exact", "2..8", "--oracle-cap", str(ORACLE_MAX_N + 1)), "--oracle-cap"),
+            (("--mc", "--n", str(STATS_MAX_N + 1), "--samples", "10", "--seed", "1"), "--n"),
+            (("--mc", "--n", "20", "--samples", "0", "--seed", "1"), "--samples"),
+            (
+                ("--mc", "--n", "20", "--samples", str(MC_MAX_SAMPLES + 1), "--seed", "1"),
+                "--samples",
+            ),
+        ],
+    )
+    def test_out_of_range_flags_exit_two_before_any_work(
+        self, capsys, monkeypatch, argv, flag
+    ):
+        from tableguess import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        for name in ("score_stats", "brute_force_distribution", "monte_carlo_mae"):
+            monkeypatch.setattr(cli.permstats, name, refuse)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be")
+
+    def test_largest_allowed_values_run(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--exact", str(ORACLE_MAX_N), "--oracle-cap", str(ORACLE_MAX_N)
+        )
+        assert code == 0
+        assert f"n={ORACLE_MAX_N} worst_count: PASS" in out
+        code, out, _ = run(
+            capsys, "verify", "--mc", "--n", str(STATS_MAX_N), "--samples", "1", "--seed", "1"
+        )
+        assert code == 0
+        assert f"n={STATS_MAX_N} mc_mean_mae: PASS" in out
 
     def test_mc_mismatch_exits_one(self, capsys, monkeypatch):
         from fractions import Fraction

@@ -1,9 +1,97 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from tableguess import _kernels
+from tableguess.permstats import OracleCapError, brute_force_distribution
+
+MASK = (1 << 64) - 1
+M1 = 0xBF58476D1CE4E5B9
+M2 = 0x94D049BB133111EB
+SAMPLE_STRIDE = 0x9E3779B97F4A7C15
+STEP_STRIDE = 0xC2B2AE3D27D4EB4F
+SEED_SALT = 0x8AD64C65E2D4B97F
+
+# (n, samples, seed, (sum, sum of squares, min, max)); seeded results must
+# stay bit-stable across versions
+PINNED_MOMENTS = [
+    (2, 7, 1, (8, 16, 0, 2)),
+    (3, 1000, 2, (2664, 9392, 0, 4)),
+    (9, 4321, 77, (115108, 3233048, 6, 40)),
+    (200, 3000, 5, (40004526, 534543417284, 11166, 15322)),
+    (2000, 300, 11, (400397488, 534502117239792, 1277876, 1399660)),
+]
+
+
+def _mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * M1) & MASK
+    z = ((z ^ (z >> 27)) * M2) & MASK
+    return z ^ (z >> 31)
+
+
+def _unxorshift(z: int, shift: int) -> int:
+    """Inverse of z -> z ^ (z >> shift) on 64 bits."""
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _unmix64(z: int) -> int:
+    z = _unxorshift(z, 31)
+    z = (z * pow(M2, -1, 1 << 64)) & MASK
+    z = _unxorshift(z, 27)
+    z = (z * pow(M1, -1, 1 << 64)) & MASK
+    return _unxorshift(z, 30)
+
+
+def _reference_moments(n: int, samples: int, seed: int) -> tuple[tuple[int, ...], int]:
+    """The documented sampler one sample at a time in Python ints:
+    ((sum, sum of squares, min, max), number of rejected draws)."""
+    h = _mix64((seed & MASK) ^ SEED_SALT)
+    scores = []
+    rejected = 0
+    for s in range(samples):
+        base = _mix64(h ^ ((s * SAMPLE_STRIDE) & MASK))
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            bound = i + 1
+            step = (i * STEP_STRIDE) & MASK
+            u = _mix64(base ^ step)
+            retry = 0
+            while u >= (1 << 64) - (1 << 64) % bound:
+                rejected += 1
+                retry += 1
+                u = _mix64(base ^ step ^ retry)
+            j = u % bound
+            perm[i], perm[j] = perm[j], perm[i]
+        scores.append(sum(abs(v - k) for k, v in enumerate(perm)))
+    moments = (sum(scores), sum(s * s for s in scores), min(scores), max(scores))
+    return moments, rejected
+
+
+def _footrule_counts(n: int) -> list[int]:
+    """Number of permutations of size n with each footrule score (OEIS
+    A062869), by the transfer-matrix walk over k open positions: step t
+    moves to k+1 in 1 way, stays at k in 2k+1 ways or drops to k-1 in k^2
+    ways, and the score grows by twice the new k."""
+    ways = {(0, 0): 1}  # (k, half-score) -> permutations
+    for _ in range(n):
+        step: dict[tuple[int, int], int] = {}
+        for (k, half), w in ways.items():
+            for k2, mult in ((k + 1, 1), (k, 2 * k + 1), (k - 1, k * k)):
+                if mult and k2 <= n:
+                    key = (k2, half + k2)
+                    step[key] = step.get(key, 0) + w * mult
+        ways = step
+    counts = [0] * (n * n // 2 + 1)
+    for (k, half), w in ways.items():
+        if k == 0:
+            counts[2 * half] = w
+    return counts
 
 
 class TestNumpyLane:
@@ -47,3 +135,73 @@ class TestNumpyLane:
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20
+
+
+class TestSampler:
+    @pytest.mark.parametrize(
+        "n, samples, seed, moments, chunk",
+        [
+            (*case, chunk)
+            for case in PINNED_MOMENTS
+            for chunk in (None, 1, 17)
+            # one-sample blocks cost a Python loop per sample
+            if chunk != 1 or case[0] * case[1] <= 100_000
+        ],
+    )
+    def test_seeded_moments_are_pinned(self, n, samples, seed, moments, chunk):
+        h = _kernels.seed_hash(seed)
+        assert _kernels._mc_moments_numpy(n, samples, h, chunk) == moments
+
+    def test_matches_the_python_reference_sampler(self):
+        for n, samples, seed in ((2, 5, 0), (7, 40, 3), (20, 25, 42)):
+            want, _ = _reference_moments(n, samples, seed)
+            assert _kernels.mc_score_moments(n, samples, seed) == want
+
+    def test_rejected_draws_are_redrawn(self, monkeypatch):
+        # Work the hash backwards to a seed whose sample 0 draws u = 2^64 - 1
+        # at step i = 19 of n = 20, which modulo rejection must refuse.
+        n, i = 20, 19
+        base = _unmix64(MASK) ^ ((i * STEP_STRIDE) & MASK)
+        seed = _unmix64(_unmix64(base)) ^ SEED_SALT
+        assert _mix64(_mix64(_mix64(seed ^ SEED_SALT)) ^ ((i * STEP_STRIDE) & MASK)) == MASK
+
+        redraws = []
+        redraw = _kernels._redraw
+
+        def spy(u, *args):
+            redraws.append(int(u.max()))
+            redraw(u, *args)
+
+        monkeypatch.setattr(_kernels, "_redraw", spy)
+        want, rejected = _reference_moments(n, 3, seed)
+        assert rejected >= 1
+        assert _kernels.mc_score_moments(n, 3, seed) == want
+        assert MASK in redraws
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_rows_are_every_permutation_once(self, n):
+        rows = _kernels._all_permutations(n)
+        assert rows.shape == (math.factorial(n), n)
+        assert len({row.tobytes() for row in rows}) == math.factorial(n)
+        assert (np.sort(rows, axis=1) == np.arange(n)).all()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_counts_match_the_transfer_matrix(self, n):
+        assert _kernels.score_distribution_counts(n).tolist() == _footrule_counts(n)
+
+    def test_ceiling_holds_whatever_the_cap(self):
+        with pytest.raises(OracleCapError):
+            brute_force_distribution(11, max_n=11)
+        with pytest.raises(ValueError):
+            _kernels.score_distribution_counts(_kernels.ENUM_MAX_N + 1)
+
+    def test_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            _kernels.score_distribution_counts(9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20

@@ -119,6 +119,13 @@ class TestFootrule:
         if first.n % 2 == 0:
             assert 0 <= mae(first, second) <= score_stats(first.n).max_mae
 
+    @given(rankings(max_n=40))
+    def test_diaconis_graham_inequality(self, ranking):
+        # I <= D <= 2I with I the number of Kendall inversions (Diaconis &
+        # Graham 1977)
+        inversions = sum(a > b for a, b in itertools.combinations(ranking.places, 2))
+        assert inversions <= footrule_score(ranking) <= 2 * inversions
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_reversal_attains_the_enumerated_maximum(self, n):
         dist = brute_force_distribution(n)

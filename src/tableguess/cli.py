@@ -19,15 +19,11 @@ from pathlib import Path
 from typing import IO, Iterator, Sequence
 
 from . import league, permstats, predictor, regression
-from .permstats import DEFAULT_ORACLE_CAP
 
 TABLE_FIELDS = ("position", "team")
 # Keeps every exact probability printable: the denominator n! must stay
 # under Python's 4300-digit limit for int-to-str conversion (1000! has 2568).
 STATS_MAX_N = 1000
-# Bounds the time of one `verify --mc` run; the sampler's memory is bounded
-# by its block size whatever the count.
-MC_MAX_SAMPLES = 10**8
 
 
 @contextlib.contextmanager
@@ -51,43 +47,52 @@ def _exact(value: Fraction) -> dict:
 def read_table_file(path: str | Path) -> list[str]:
     """Read a table file: CSV ``position,team`` or a JSON array of names.
 
-    Returns the team names in table order (position 1 first).
+    Returns the team names in table order (position 1 first). Errors name
+    the file, and the line when there is one.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return _table_teams(Path(path).read_text(encoding="utf-8"))
+    # json raises RecursionError on deeply nested arrays
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _table_teams(text: str) -> list[str]:
     if text.lstrip().startswith("["):
         teams = json.loads(text)
         if not isinstance(teams, list) or not all(isinstance(t, str) for t in teams):
-            raise ValueError(f"{path}: JSON table must be an array of team names")
+            raise ValueError("JSON table must be an array of team names")
     else:
         reader = csv.reader(text.splitlines())
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty table file") from None
-        if tuple(h.strip() for h in header) != TABLE_FIELDS:
-            raise ValueError(f"{path}: expected header position,team")
         entries = []
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != 2:
-                raise ValueError(f"{where}: malformed row {row!r}")
-            try:
-                entries.append((int(row[0]), row[1].strip()))
-            except ValueError:
-                raise ValueError(
-                    f"{where}: position must be an integer, got {row[0]!r}"
-                ) from None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty table file")
+            if tuple(h.strip() for h in header) != TABLE_FIELDS:
+                raise ValueError("expected header position,team")
+            for row in reader:
+                if not row:
+                    continue
+                where = f"line {reader.line_num}"
+                if len(row) != 2:
+                    raise ValueError(f"{where}: malformed row {row!r}")
+                try:
+                    entries.append((int(row[0]), row[1].strip()))
+                except ValueError:
+                    raise ValueError(
+                        f"{where}: position must be an integer, got {row[0]!r}"
+                    ) from None
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
         positions = sorted(pos for pos, _ in entries)
         if positions != list(range(1, len(entries) + 1)):
-            raise ValueError(f"{path}: positions must be exactly 1..{len(entries)}")
-        entries.sort()
-        teams = [team for _, team in entries]
+            raise ValueError(f"positions must be exactly 1..{len(entries)}")
+        teams = [team for _, team in sorted(entries)]
     if len(set(teams)) != len(teams):
-        raise ValueError(f"{path}: duplicate team names")
+        raise ValueError("duplicate team names")
     if len(teams) < 2:
-        raise ValueError(f"{path}: need at least 2 teams")
+        raise ValueError("need at least 2 teams")
     return teams
 
 
@@ -133,7 +138,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 _RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _exact_range(text: str) -> tuple[int, int]:
     m = _RANGE_RE.match(text.strip())
     if not m:
         raise ValueError(f"range must look like 4 or 2..8, got {text!r}")
@@ -141,10 +146,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     hi = int(m.group(2)) if m.group(2) else lo
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
+    if lo < 2 or hi > permstats.ORACLE_MAX_N:
+        raise ValueError(
+            f"--exact must be within 2..{permstats.ORACLE_MAX_N}, the enumeration "
+            f"ceiling, got {text}"
+        )
     return lo, hi
 
 
-def _verify_exact(lo: int, hi: int, cap: int) -> tuple[list[str], bool]:
+def _verify_exact(lo: int, hi: int) -> tuple[list[str], bool]:
     lines = []
     ok = True
 
@@ -157,7 +167,7 @@ def _verify_exact(lo: int, hi: int, cap: int) -> tuple[list[str], bool]:
             lines.append(f"n={n} {name}: FAIL (enumerated {got}, closed form {want})")
 
     for n in range(lo, hi + 1):
-        dist = permstats.brute_force_distribution(n, max_n=cap)
+        dist = permstats.brute_force_distribution(n)
         mean, variance, top, top_count = permstats.distribution_moments(dist)
         stats = permstats.score_stats(n)
         check(n, "expected_score", mean, stats.expected_score)
@@ -182,40 +192,36 @@ def _verify_mc(n: int, samples: int, seed: int) -> tuple[list[str], bool]:
 
 
 def _check_verify_limits(args: argparse.Namespace) -> None:
-    if args.oracle_cap > permstats.ORACLE_MAX_N:
-        raise ValueError(
-            f"--oracle-cap must be at most {permstats.ORACLE_MAX_N}, got {args.oracle_cap}"
-        )
     if args.n is not None and args.n > STATS_MAX_N:
         raise ValueError(f"--n must be at most {STATS_MAX_N}, got {args.n}")
-    if args.samples is not None and not 1 <= args.samples <= MC_MAX_SAMPLES:
+    if args.samples is None:
+        return
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    work = permstats.MC_MAX_WORK
+    if args.n is not None and args.n * args.samples > work:
         raise ValueError(
-            f"--samples must be between 1 and {MC_MAX_SAMPLES}, got {args.samples}"
+            f"--samples must be at most {work // args.n} at --n {args.n}, so that "
+            f"--n x --samples stays within {work}, got {args.samples}"
         )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.exact is None and not args.mc:
         raise ValueError("choose --exact RANGE and/or --mc")
+    exact = None if args.exact is None else _exact_range(args.exact)
     _check_verify_limits(args)
     if args.samples is not None and args.seed is None:
         raise ValueError("--samples requires --seed for reproducibility")
+    if args.mc and (args.n is None or args.samples is None or args.seed is None):
+        raise ValueError("--mc requires --n, --samples and --seed")
     lines: list[str] = []
     ok = True
-    if args.exact is not None:
-        lo, hi = _parse_range(args.exact)
-        if lo < 2:
-            raise ValueError(f"league size must be at least 2, got {lo}")
-        if hi > args.oracle_cap:
-            raise ValueError(
-                f"exact range ends at {hi}, above the oracle cap {args.oracle_cap}"
-            )
-        exact_lines, exact_ok = _verify_exact(lo, hi, args.oracle_cap)
+    if exact is not None:
+        exact_lines, exact_ok = _verify_exact(*exact)
         lines.extend(exact_lines)
         ok = ok and exact_ok
     if args.mc:
-        if args.n is None or args.samples is None or args.seed is None:
-            raise ValueError("--mc requires --n, --samples and --seed")
         mc_lines, mc_ok = _verify_mc(args.n, args.samples, args.seed)
         lines.extend(mc_lines)
         ok = ok and mc_ok
@@ -340,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="league size for --mc")
     p.add_argument("--samples", type=int, help="sample count for --mc")
     p.add_argument("--seed", type=int, help="seed for --mc")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(

@@ -19,26 +19,11 @@ import csv
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .permstats import Ranking
-
 MATCH_FIELDS = ("season", "round", "home_team", "away_team", "home_goals", "away_goals")
-STANDINGS_FIELDS = (
-    "round",
-    "rank",
-    "team",
-    "played",
-    "won",
-    "drawn",
-    "lost",
-    "gf",
-    "ga",
-    "gd",
-    "points",
-)
 # Rounds and goals stay below this so that they and every cumulative sum
 # over a season fit the frame's int64 arrays.
 _FIELD_LIMIT = 2**31
@@ -198,14 +183,31 @@ def _parse_int(value: str, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
-    """Read and validate a match CSV into a single-season dataset."""
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            return parse_matches(fh)
+def _rows(source: IO[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV row with its line number; the csv module's errors become
+    ``MatchFileError`` naming the line."""
     reader = csv.reader(source)
     try:
-        header = next(reader)
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise MatchFileError(f"line {reader.line_num}: {exc}") from None
+
+
+def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
+    """Read and validate a match CSV into a single-season dataset.
+
+    Errors name the line, and the file when ``source`` is a path.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, newline="", encoding="utf-8") as fh:
+            try:
+                return parse_matches(fh)
+            except ValueError as exc:
+                raise MatchFileError(f"{source}: {exc}") from None
+    rows = _rows(source)
+    try:
+        _, header = next(rows)
     except StopIteration:
         raise MatchFileError("empty input: no header row") from None
     header = [h.strip() for h in header]
@@ -216,8 +218,7 @@ def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
     col = {name: header.index(name) for name in MATCH_FIELDS}
     matches: list[MatchRecord] = []
     lines: list[int] = []
-    for row in reader:
-        line = reader.line_num
+    for line, row in rows:
         if not row:
             continue
         if len(row) != len(MATCH_FIELDS):
@@ -283,86 +284,6 @@ def standings_at_round(dataset: SeasonDataset, r: int) -> StandingsTable:
 
 def final_standings(dataset: SeasonDataset) -> StandingsTable:
     return standings_at_round(dataset, dataset.rounds)
-
-
-def _check_order(table: StandingsTable, team_order: Sequence[str]) -> None:
-    table_teams = {row.team for row in table.rows}
-    order_teams = set(team_order)
-    if len(order_teams) != len(team_order):
-        raise ValueError("team order contains duplicates")
-    missing = order_teams - table_teams
-    if missing:
-        raise ValueError(f"teams not in table: {sorted(missing)}")
-    if table_teams - order_teams:
-        raise ValueError(f"teams missing from order: {sorted(table_teams - order_teams)}")
-
-
-def rank_vector(table: StandingsTable, team_order: Sequence[str]) -> Ranking:
-    """Each team's rank in ``table``, listed in ``team_order``.
-
-    With the final-table order this is exactly the prediction permutation:
-    entry i is the current place of the team that finished i-th.
-    """
-    _check_order(table, team_order)
-    rank = {row.team: row.rank for row in table.rows}
-    return Ranking(tuple(rank[team] for team in team_order))
-
-
-def gd_vector(table: StandingsTable, team_order: Sequence[str]) -> tuple[int, ...]:
-    """Each team's goal difference in ``table``, listed in ``team_order``."""
-    _check_order(table, team_order)
-    gd = {row.team: row.goal_difference for row in table.rows}
-    return tuple(gd[team] for team in team_order)
-
-
-def standings_records(table: StandingsTable) -> list[dict]:
-    """Row dicts in the wire-format field order (gf/ga/gd short names)."""
-    return [
-        {
-            "round": table.round,
-            "rank": row.rank,
-            "team": row.team,
-            "played": row.played,
-            "won": row.won,
-            "drawn": row.drawn,
-            "lost": row.lost,
-            "gf": row.goals_for,
-            "ga": row.goals_against,
-            "gd": row.goal_difference,
-            "points": row.points,
-        }
-        for row in table.rows
-    ]
-
-
-def standings_to_csv(table: StandingsTable, fh: IO[str]) -> None:
-    writer = csv.DictWriter(fh, fieldnames=STANDINGS_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(standings_records(table))
-
-
-def parse_standings_csv(fh: IO[str]) -> list[dict]:
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != STANDINGS_FIELDS:
-        raise ValueError(f"expected header {','.join(STANDINGS_FIELDS)}")
-    out = []
-    for rec in reader:
-        out.append(
-            {
-                key: (rec[key] if key == "team" else int(rec[key]))
-                for key in STANDINGS_FIELDS
-            }
-        )
-    return out
-
-
-def matches_to_csv(dataset: SeasonDataset, fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(MATCH_FIELDS)
-    for m in dataset.matches:
-        writer.writerow(
-            [m.season, m.round, m.home_team, m.away_team, m.home_goals, m.away_goals]
-        )
 
 
 def synthetic_season(

@@ -9,7 +9,6 @@ Monte Carlo summaries and rendered output.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -18,10 +17,12 @@ from typing import Hashable, Iterator, Sequence
 
 from . import _kernels
 
-DEFAULT_ORACLE_CAP = 9
-# Enumeration holds all n! permutations in memory at once, so no cap can
-# go above this.
+# Enumeration holds all n! permutations in memory at once, so it stops
+# here.
 ORACLE_MAX_N = _kernels.ENUM_MAX_N
+# Bounds the time of one Monte Carlo run as n * samples; 10**8 samples at
+# n = 20 stay within it. The sampler's memory is bounded by its block size.
+MC_MAX_WORK = 2 * 10**9
 
 
 class DimensionMismatchError(ValueError):
@@ -29,7 +30,7 @@ class DimensionMismatchError(ValueError):
 
 
 class OracleCapError(ValueError):
-    """Enumeration was requested beyond the configured factorial cap."""
+    """Enumeration was requested beyond ``ORACLE_MAX_N``."""
 
 
 @dataclass(frozen=True)
@@ -91,28 +92,6 @@ def ranking_from_orders(
         return Ranking(tuple(place[label] for label in actual_order))
     except KeyError as exc:
         raise ValueError(f"label {exc.args[0]!r} missing from predicted order") from None
-
-
-def parse_ranking(text: str) -> Ranking:
-    """Deserialize a ranking: a JSON array or one integer per line, 1-based."""
-    stripped = text.strip()
-    if stripped.startswith("["):
-        values = json.loads(stripped)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-            raise ValueError("JSON ranking must be an array of integers")
-    else:
-        values = [int(line) for line in stripped.splitlines() if line.strip()]
-    return Ranking(tuple(values))
-
-
-def render_ranking(ranking: Ranking | Sequence[int], fmt: str = "csv") -> str:
-    """Serialize a ranking as a single CSV column or a JSON array."""
-    places = _coerce(ranking).places
-    if fmt == "json":
-        return json.dumps(list(places))
-    if fmt == "csv":
-        return "\n".join(str(p) for p in places) + "\n"
-    raise ValueError(f"format must be csv or json, got {fmt!r}")
 
 
 def _coerce(ranking: Ranking | Sequence[int]) -> Ranking:
@@ -216,26 +195,17 @@ class ScoreDistribution:
     counts: dict[int, int]
 
 
-def brute_force_distribution(
-    n: int, *, max_n: int = DEFAULT_ORACLE_CAP
-) -> ScoreDistribution:
+def brute_force_distribution(n: int) -> ScoreDistribution:
     """Enumerate all n! permutations and tally their scores.
 
-    The independent oracle behind the closed forms; refuses n above the cap
-    because the factorial blowup is never worth it for testing, and n above
-    ``ORACLE_MAX_N`` whatever the cap.
+    The independent oracle behind the closed forms; refuses n above
+    ``ORACLE_MAX_N``.
     """
     if n < 2:
         raise ValueError(f"league size must be at least 2, got {n}")
     if n > ORACLE_MAX_N:
         raise OracleCapError(
-            f"enumeration of {n}! permutations exceeds the ceiling of "
-            f"{ORACLE_MAX_N}, which no max_n can raise"
-        )
-    if n > max_n:
-        raise OracleCapError(
-            f"enumeration of {n}! permutations exceeds the cap of {max_n}; "
-            f"raise max_n explicitly if you really want this"
+            f"enumeration of {n}! permutations exceeds the ceiling of {ORACLE_MAX_N}"
         )
     counts = _kernels.score_distribution_counts(n)
     return ScoreDistribution(
@@ -276,12 +246,17 @@ def monte_carlo_mae(n: int, samples: int, seed: int) -> MonteCarloSummary:
     """Sample ``samples`` uniform random guesses and summarise their MAE.
 
     Reproducible for a fixed (n, samples, seed) regardless of chunking;
-    see tableguess._kernels for the guarantee.
+    see tableguess._kernels for the guarantee. Refuses n * samples above
+    ``MC_MAX_WORK``.
     """
     if n < 2:
         raise ValueError(f"league size must be at least 2, got {n}")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
+    if n * samples > MC_MAX_WORK:
+        raise ValueError(
+            f"n * samples must be at most {MC_MAX_WORK}, got {n} * {samples}"
+        )
     total, total_sq, lo, hi = _kernels.mc_score_moments(n, samples, seed)
     mean = Fraction(total, samples * n)
     variance = Fraction(

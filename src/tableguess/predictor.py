@@ -59,7 +59,6 @@ def predict_by_gd(table: StandingsTable, final_order: Sequence[str]) -> Ranking:
 class RoundForecast:
     round: int
     strategy: str
-    ranking: Ranking
     mae: Fraction
     mse: Fraction
 
@@ -113,7 +112,6 @@ def evaluate_season(
                 RoundForecast(
                     round=rnd,
                     strategy=strategy,
-                    ranking=Ranking(tuple(places[strategy][i].tolist())),
                     mae=value,
                     mse=Fraction(sq_sums[strategy][i], n),
                 )
@@ -168,19 +166,3 @@ def report_to_csv(report: ForecastReport, fh: IO[str]) -> None:
         writer.writerow(
             [rec["season"], rec["round"], rec["strategy"], repr(rec["mae"]), repr(rec["mse"])]
         )
-
-
-def parse_report_csv(fh: IO[str]) -> list[dict]:
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != REPORT_FIELDS:
-        raise ValueError(f"expected header {','.join(REPORT_FIELDS)}")
-    return [
-        {
-            "season": rec["season"],
-            "round": int(rec["round"]),
-            "strategy": rec["strategy"],
-            "mae": float(rec["mae"]),
-            "mse": float(rec["mse"]),
-        }
-        for rec in reader
-    ]

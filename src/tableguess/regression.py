@@ -128,20 +128,3 @@ def curves_to_csv(curves: Iterable[R2Curve], fh: IO[str]) -> None:
         writer.writerow(
             [rec["season"], rec["kind"], rec["round"], "" if value is None else repr(value)]
         )
-
-
-def parse_curves_csv(fh: IO[str]) -> list[dict]:
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != CURVE_FIELDS:
-        raise ValueError(f"expected header {','.join(CURVE_FIELDS)}")
-    out = []
-    for rec in reader:
-        out.append(
-            {
-                "season": rec["season"],
-                "kind": rec["kind"],
-                "round": int(rec["round"]),
-                "r_squared": float(rec["r_squared"]) if rec["r_squared"] else None,
-            }
-        )
-    return out

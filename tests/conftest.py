@@ -1,8 +1,9 @@
+import csv
 import io
 
 import pytest
 
-from tableguess import _kernels, league
+from tableguess import _kernels, league, predictor, regression
 from tableguess.bundled import (
     MERSON_PREDICTION,
     PL_FINAL,
@@ -35,6 +36,40 @@ drawish,1,C,D,0,0
 drawish,2,A,C,1,0
 drawish,2,B,D,2,0
 """
+
+
+def matches_csv(dataset: league.SeasonDataset) -> str:
+    """A match file holding the dataset's matches."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(league.MATCH_FIELDS)
+    for m in dataset.matches:
+        writer.writerow(
+            [m.season, m.round, m.home_team, m.away_team, m.home_goals, m.away_goals]
+        )
+    return buffer.getvalue()
+
+
+def read_records(text: str, fields: tuple[str, ...], **convert) -> list[dict]:
+    """The rows of CSV output with header ``fields``, the named columns converted."""
+    reader = csv.DictReader(io.StringIO(text))
+    assert tuple(reader.fieldnames) == fields
+    return [{k: convert.get(k, str)(v) for k, v in rec.items()} for rec in reader]
+
+
+def report_rows(text: str) -> list[dict]:
+    """``evaluate`` CSV output as the dicts of ``predictor.report_records``."""
+    return read_records(text, predictor.REPORT_FIELDS, round=int, mae=float, mse=float)
+
+
+def curve_rows(text: str) -> list[dict]:
+    """``r2`` CSV output as the dicts of ``regression.curve_records``."""
+    return read_records(
+        text,
+        regression.CURVE_FIELDS,
+        round=int,
+        r_squared=lambda v: float(v) if v else None,
+    )
 
 
 @pytest.fixture

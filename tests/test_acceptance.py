@@ -27,6 +27,7 @@ from tableguess.permstats import (
     ranking_from_orders,
     score_stats,
 )
+from conftest import matches_csv
 
 
 def test_c1_merson_golden_fixture():
@@ -137,19 +138,15 @@ def test_c6_standings_invariants_on_random_seasons():
                     decisive += 1
             assert sum(row.goal_difference for row in table.rows) == 0
             assert sum(row.points for row in table.rows) == 3 * decisive + 2 * drawn
-            ranking = league.rank_vector(table, dataset.teams)
+            ranking = predictor.predict_by_rank(table, dataset.teams)
             assert sorted(ranking.places) == list(range(1, 15))
 
-        buffer = io.StringIO()
-        league.matches_to_csv(dataset, buffer)
-        text = buffer.getvalue()
-        replays = []
-        for _ in range(2):
-            replayed = league.parse_matches(io.StringIO(text))
-            out = io.StringIO()
-            league.standings_to_csv(league.final_standings(replayed), out)
-            replays.append(out.getvalue())
-        assert replays[0] == replays[1]
+        text = matches_csv(dataset)
+        replays = [
+            league.final_standings(league.parse_matches(io.StringIO(text)))
+            for _ in range(2)
+        ]
+        assert replays[0] == replays[1] == league.final_standings(dataset)
 
 
 def test_c7_predictor_contract():

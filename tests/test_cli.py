@@ -1,13 +1,14 @@
+import argparse
 import csv
 import io
 import json
 
 import pytest
 
-from tableguess import league, predictor, regression
-from tableguess.cli import MC_MAX_SAMPLES, STATS_MAX_N, main, read_table_file
-from tableguess.permstats import ORACLE_MAX_N
-from conftest import FLAT_SEASON_CSV, DRAWISH_SEASON_CSV
+from tableguess import league
+from tableguess.cli import STATS_MAX_N, _check_verify_limits, main, read_table_file
+from tableguess.permstats import MC_MAX_WORK, ORACLE_MAX_N
+from conftest import FLAT_SEASON_CSV, DRAWISH_SEASON_CSV, curve_rows, report_rows
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -113,9 +114,10 @@ class TestVerify:
             assert f"n={n} worst_count: PASS" in out
 
     def test_exact_range_above_cap(self, capsys):
-        code, _, err = run(capsys, "verify", "--exact", "2..12")
+        code, out, err = run(capsys, "verify", "--exact", f"2..{ORACLE_MAX_N + 1}")
         assert code == 2
-        assert "cap" in err
+        assert out == ""
+        assert err.startswith(f"error: --exact must be within 2..{ORACLE_MAX_N}")
 
     def test_single_size_range(self, capsys):
         code, out, _ = run(capsys, "verify", "--exact", "4")
@@ -145,13 +147,14 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (("--exact", "2..8", "--oracle-cap", str(ORACLE_MAX_N + 1)), "--oracle-cap"),
+            (("--exact", "1..4"), "--exact"),
             (("--mc", "--n", str(STATS_MAX_N + 1), "--samples", "10", "--seed", "1"), "--n"),
             (("--mc", "--n", "20", "--samples", "0", "--seed", "1"), "--samples"),
             (
-                ("--mc", "--n", "20", "--samples", str(MC_MAX_SAMPLES + 1), "--seed", "1"),
+                ("--mc", "--n", "20", "--samples", str(MC_MAX_WORK // 20 + 1), "--seed", "1"),
                 "--samples",
             ),
+            (("--mc", "--n", "1000", "--samples", str(10**8), "--seed", "1"), "--samples"),
         ],
     )
     def test_out_of_range_flags_exit_two_before_any_work(
@@ -169,10 +172,15 @@ class TestVerify:
         assert out == ""
         assert err.startswith(f"error: {flag} must be")
 
+    def test_mc_work_is_bounded_by_n_times_samples(self):
+        _check_verify_limits(argparse.Namespace(n=20, samples=10**8))
+        _check_verify_limits(argparse.Namespace(n=1000, samples=MC_MAX_WORK // 1000))
+        with pytest.raises(ValueError, match="--n x --samples") as info:
+            _check_verify_limits(argparse.Namespace(n=1000, samples=10**8))
+        assert str(info.value).startswith(f"--samples must be at most {MC_MAX_WORK // 1000}")
+
     def test_largest_allowed_values_run(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--exact", str(ORACLE_MAX_N), "--oracle-cap", str(ORACLE_MAX_N)
-        )
+        code, out, _ = run(capsys, "verify", "--exact", str(ORACLE_MAX_N))
         assert code == 0
         assert f"n={ORACLE_MAX_N} worst_count: PASS" in out
         code, out, _ = run(
@@ -252,7 +260,7 @@ class TestR2:
     def test_flat_fixture_curves(self, capsys, flat_file):
         code, out, _ = run(capsys, "r2", flat_file)
         assert code == 0
-        records = regression.parse_curves_csv(io.StringIO(out))
+        records = curve_rows(out)
         rank_values = [r["r_squared"] for r in records if r["kind"] == "table_rank"]
         assert rank_values == [1.0, 1.0, 1.0]
 
@@ -272,12 +280,20 @@ class TestR2:
         code, out_json, _ = run(capsys, "r2", synthetic_path, "--format", "json", "--threshold", "0.8")
         assert code == 0
         payload = json.loads(out_json)
-        assert payload["records"] == regression.parse_curves_csv(io.StringIO(out_csv))
+        assert payload["records"] == curve_rows(out_csv)
         assert set(payload["threshold_rounds"]) == {"table_rank", "goal_difference"}
 
     def test_missing_matches_file(self, capsys):
         code, _, err = run(capsys, "r2", "/no/such/matches.csv")
         assert code == 2
+
+    def test_overlong_field_exits_two(self, capsys, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text(DRAWISH_SEASON_CSV + f"drawish,3,A,{'B' * 200_000},0,0\n", encoding="utf-8")
+        code, out, err = run(capsys, "r2", str(big))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {big}: line 6: field larger than field limit")
 
 
 class TestPredict:
@@ -326,7 +342,7 @@ class TestEvaluate:
     def test_csv_records_parse(self, capsys, synthetic_path):
         code, out, _ = run(capsys, "evaluate", synthetic_path)
         assert code == 0
-        records = predictor.parse_report_csv(io.StringIO(out))
+        records = report_rows(out)
         assert len(records) == 52
         final_rank = [r for r in records if r["round"] == 26 and r["strategy"] == "rank"]
         assert final_rank[0]["mae"] == 0.0
@@ -336,7 +352,7 @@ class TestEvaluate:
         code, out_json, _ = run(capsys, "evaluate", synthetic_path, "--format", "json")
         assert code == 0
         payload = json.loads(out_json)
-        assert payload["records"] == predictor.parse_report_csv(io.StringIO(out_csv))
+        assert payload["records"] == report_rows(out_csv)
         assert payload["summary"]["baseline_expected_mae"]["exact"] == "65/14"
 
     def test_summary_file(self, capsys, synthetic_path, tmp_path):
@@ -374,6 +390,30 @@ class TestTableFiles:
         assert code == 2
         assert f"{bad}: line 3" in err
         assert "'x'" in err
+
+    def test_overlong_field_names_file_and_line(self, capsys, tmp_path, merson_files):
+        _, actual = merson_files
+        big = tmp_path / "big.csv"
+        big.write_text(f"position,team\n1,A\n2,{'B' * 200_000}\n", encoding="utf-8")
+        code, out, err = run(capsys, "mae", "--pred", str(big), "--actual", actual)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {big}: line 3: field larger than field limit")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('["A", "B"', "Expecting"),
+            ("[" * 100_000, "recursion"),
+        ],
+        ids=["truncated", "deeply-nested"],
+    )
+    def test_malformed_json_names_the_file(self, tmp_path, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message) as info:
+            read_table_file(bad)
+        assert str(info.value).startswith(f"{bad}: ")
 
     def test_positions_may_come_unordered(self, tmp_path):
         table = tmp_path / "shuffled.csv"

@@ -193,7 +193,7 @@ class TestEnumeration:
 
     def test_ceiling_holds_whatever_the_cap(self):
         with pytest.raises(OracleCapError):
-            brute_force_distribution(11, max_n=11)
+            brute_force_distribution(11)
         with pytest.raises(ValueError):
             _kernels.score_distribution_counts(_kernels.ENUM_MAX_N + 1)
 

@@ -8,13 +8,14 @@ from tableguess.league import (
     MatchFileError,
     MatchRecord,
     final_standings,
-    gd_vector,
     parse_matches,
-    rank_vector,
     standings_at_round,
     standings_series,
     synthetic_season,
 )
+from tableguess.permstats import DimensionMismatchError, identity
+from tableguess.predictor import predict_by_gd, predict_by_rank, predicted_order_by_gd
+from conftest import matches_csv
 
 
 def parse_text(text: str) -> league.SeasonDataset:
@@ -85,6 +86,16 @@ class TestParsing:
         with pytest.raises(MatchFileError, match="mixed season"):
             parse_text(text)
 
+    def test_errors_from_a_path_name_the_file(self, tmp_path):
+        path = tmp_path / "matches.csv"
+        path.write_text(HEADER + "S,1,A,B,2,0\nS,1,A,C,1,1\n", encoding="utf-8")
+        with pytest.raises(MatchFileError) as info:
+            parse_matches(path)
+        assert str(info.value) == f"{path}: line 3: team 'A' appears twice in round 1"
+        path.write_bytes(HEADER.encode() + b"S,1,\xff,B,2,0\n")
+        with pytest.raises(MatchFileError, match=f"^{path}: .*utf-8"):
+            parse_matches(str(path))
+
     def test_column_order_is_flexible(self):
         text = "round,season,away_team,home_team,away_goals,home_goals\n1,S,B,A,0,2\n"
         dataset = parse_text(text)
@@ -143,31 +154,35 @@ class TestVectors:
     def test_final_order_gives_identity(self, synthetic_dataset):
         final = final_standings(synthetic_dataset)
         order = [row.team for row in final.rows]
-        assert rank_vector(final, order).places == tuple(range(1, 15))
+        assert predict_by_rank(final, order) == identity(14)
 
     def test_gd_sums_to_zero(self, synthetic_dataset):
         for table in standings_series(synthetic_dataset):
-            assert sum(gd_vector(table, synthetic_dataset.teams)) == 0
+            gd = {row.team: row.goal_difference for row in table.rows}
+            ordered = [gd[team] for team in predicted_order_by_gd(table)]
+            assert sum(ordered) == 0
+            assert ordered == sorted(ordered, reverse=True)
 
     def test_rank_vectors_are_valid_permutations(self, synthetic_dataset):
         for table in standings_series(synthetic_dataset):
-            ranking = rank_vector(table, synthetic_dataset.teams)
-            assert sorted(ranking.places) == list(range(1, 15))
+            for predict in (predict_by_rank, predict_by_gd):
+                ranking = predict(table, synthetic_dataset.teams)
+                assert sorted(ranking.places) == list(range(1, 15))
 
     def test_round_one_rank_vector_hand_checked(self, synthetic_dataset):
         table = standings_at_round(synthetic_dataset, 1)
         # against alphabetical roster order, from the hand-checked table above
         expected = (6, 12, 13, 5, 1, 11, 7, 8, 3, 14, 10, 2, 4, 9)
-        assert rank_vector(table, synthetic_dataset.teams).places == expected
+        assert predict_by_rank(table, synthetic_dataset.teams).places == expected
 
     def test_missing_team_errors(self, synthetic_dataset):
         table = final_standings(synthetic_dataset)
         with pytest.raises(ValueError):
-            rank_vector(table, ["Nowhere"] + list(synthetic_dataset.teams[1:]))
+            predict_by_rank(table, ["Nowhere"] + list(synthetic_dataset.teams[1:]))
+        with pytest.raises(DimensionMismatchError):
+            predict_by_gd(table, list(synthetic_dataset.teams[:2]))
         with pytest.raises(ValueError):
-            gd_vector(table, list(synthetic_dataset.teams[:2]))
-        with pytest.raises(ValueError):
-            rank_vector(table, [synthetic_dataset.teams[0]] * 14)
+            predict_by_rank(table, [synthetic_dataset.teams[0]] * 14)
 
 
 class TestInvariants:
@@ -223,28 +238,7 @@ class TestDeterminismAndRoundTrips:
         assert synthetic_dataset == synthetic_season(14, seed=7, season="synthetic-2016")
 
     def test_matches_round_trip(self, synthetic_dataset):
-        buffer = io.StringIO()
-        league.matches_to_csv(synthetic_dataset, buffer)
-        assert parse_matches(io.StringIO(buffer.getvalue())) == synthetic_dataset
-
-    def test_standings_csv_round_trip(self, synthetic_dataset):
-        table = final_standings(synthetic_dataset)
-        buffer = io.StringIO()
-        league.standings_to_csv(table, buffer)
-        parsed = league.parse_standings_csv(io.StringIO(buffer.getvalue()))
-        assert parsed == league.standings_records(table)
-
-    def test_standings_csv_is_byte_identical(self, synthetic_dataset):
-        outputs = []
-        for _ in range(2):
-            buffer = io.StringIO()
-            league.standings_to_csv(final_standings(synthetic_dataset), buffer)
-            outputs.append(buffer.getvalue())
-        assert outputs[0] == outputs[1]
-
-    def test_standings_parser_rejects_foreign_headers(self):
-        with pytest.raises(ValueError):
-            league.parse_standings_csv(io.StringIO("a,b,c\n1,2,3\n"))
+        assert parse_text(matches_csv(synthetic_dataset)) == synthetic_dataset
 
 
 class TestSyntheticSeason:

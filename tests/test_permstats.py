@@ -18,9 +18,7 @@ from tableguess.permstats import (
     mae,
     monte_carlo_mae,
     mse,
-    parse_ranking,
     ranking_from_orders,
-    render_ranking,
     reversal,
     score_stats,
 )
@@ -171,32 +169,6 @@ class TestRankingFromOrders:
             ranking_from_orders(["a", "x"], ["a", "b"])
 
 
-class TestRankingSerialisation:
-    def test_csv_column_round_trip(self, merson_ranking):
-        text = render_ranking(merson_ranking)
-        assert text.splitlines()[0] == "1"
-        assert parse_ranking(text) == merson_ranking
-
-    def test_json_round_trip(self, merson_ranking):
-        text = render_ranking(merson_ranking, fmt="json")
-        assert text.startswith("[")
-        assert parse_ranking(text) == merson_ranking
-
-    def test_parse_rejects_non_permutations(self):
-        with pytest.raises(ValueError):
-            parse_ranking("1\n1\n3\n")
-        with pytest.raises(ValueError):
-            parse_ranking("[1, 2.5, 3]")
-        with pytest.raises(ValueError):
-            parse_ranking("[true, 2]")
-        with pytest.raises(ValueError):
-            parse_ranking("one\ntwo\n")
-
-    def test_render_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            render_ranking(identity(3), fmt="xml")
-
-
 def _maximal_footrule(n: int) -> tuple[int, int]:
     """(largest footrule score, number of permutations reaching it) by the
     transfer-matrix walk: with k open positions, step t moves to k+1 in 1
@@ -304,13 +276,9 @@ class TestBruteForce:
 
     def test_cap_refusal(self):
         with pytest.raises(OracleCapError):
-            brute_force_distribution(10)
+            brute_force_distribution(permstats.ORACLE_MAX_N + 1)
         with pytest.raises(ValueError):
             brute_force_distribution(1)
-
-    def test_cap_is_configurable(self):
-        with pytest.raises(OracleCapError):
-            brute_force_distribution(5, max_n=4)
 
     def test_moments_match_closed_forms(self):
         for n in range(2, 7):
@@ -368,6 +336,16 @@ class TestMonteCarlo:
             monte_carlo_mae(1, 10, 0)
         with pytest.raises(ValueError):
             monte_carlo_mae(5, 0, 0)
+
+    def test_work_bound_refuses_before_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started before the work bound was checked")
+
+        monkeypatch.setattr(permstats._kernels, "mc_score_moments", refuse)
+        with pytest.raises(ValueError, match="n \\* samples must be at most"):
+            monte_carlo_mae(1000, 10**8, 1)
+        with pytest.raises(ValueError, match="n \\* samples must be at most"):
+            monte_carlo_mae(20, permstats.MC_MAX_WORK // 20 + 1, 1)
 
     @settings(max_examples=20)
     @given(st.integers(min_value=0, max_value=2**63))

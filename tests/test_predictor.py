@@ -17,8 +17,8 @@ from tableguess.predictor import (
     report_records,
     report_summary,
     report_to_csv,
-    parse_report_csv,
 )
+from conftest import report_rows
 
 
 def make_table(rows: list[tuple[str, int, int, int]]) -> StandingsTable:
@@ -176,7 +176,7 @@ class TestReportSerialisation:
         report = evaluate_season(synthetic_dataset)
         buffer = io.StringIO()
         report_to_csv(report, buffer)
-        assert parse_report_csv(io.StringIO(buffer.getvalue())) == report_records(report)
+        assert report_rows(buffer.getvalue()) == report_records(report)
 
     def test_summary_shape(self, synthetic_dataset):
         summary = report_summary(evaluate_season(synthetic_dataset))
@@ -184,7 +184,3 @@ class TestReportSerialisation:
         assert summary["baseline_expected_mae"]["exact"] == "65/14"
         assert set(summary["threshold_rounds"]) == {STRATEGY_RANK, STRATEGY_GD}
         assert isinstance(summary["gd_better_rounds"], list)
-
-    def test_parser_rejects_foreign_headers(self):
-        with pytest.raises(ValueError):
-            parse_report_csv(io.StringIO("x,y\n1,2\n"))

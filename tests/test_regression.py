@@ -11,11 +11,11 @@ from tableguess.regression import (
     R2Curve,
     curve_records,
     curves_to_csv,
-    parse_curves_csv,
     r2_curve,
     simple_ols,
     threshold_round,
 )
+from conftest import curve_rows
 
 IDENTITY_TOL = 1e-12
 
@@ -160,7 +160,7 @@ class TestCurveSerialisation:
         ]
         buffer = io.StringIO()
         curves_to_csv(curves, buffer)
-        parsed = parse_curves_csv(io.StringIO(buffer.getvalue()))
+        parsed = curve_rows(buffer.getvalue())
         assert parsed == curve_records(curves)
 
     def test_undefined_serialises_to_empty_cell(self, drawish_dataset):
@@ -168,7 +168,3 @@ class TestCurveSerialisation:
         curves_to_csv([r2_curve(drawish_dataset, KIND_GOAL_DIFFERENCE)], buffer)
         first_row = buffer.getvalue().splitlines()[1]
         assert first_row == "drawish,goal_difference,1,"
-
-    def test_parser_rejects_foreign_headers(self):
-        with pytest.raises(ValueError):
-            parse_curves_csv(io.StringIO("a,b\n1,2\n"))

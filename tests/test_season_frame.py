@@ -97,21 +97,22 @@ def test_evaluate_and_curves_equal_per_table_scoring(matches):
         ):
             ranking = predict(table, final_order)
             expected.append(
-                (table.round, strategy, ranking, permstats.mae(ranking), permstats.mse(ranking))
+                (table.round, strategy, permstats.mae(ranking), permstats.mse(ranking))
             )
-    got = [(r.round, r.strategy, r.ranking, r.mae, r.mse) for r in report.records]
+    got = [(r.round, r.strategy, r.mae, r.mse) for r in report.records]
     assert got == expected
     assert report.baseline_expected_mae == Fraction(n * n - 1, 3 * n)
     if n < 3:
         return
     y = list(range(1, n + 1))
-    for kind, vector in (
-        (regression.KIND_TABLE_RANK, league.rank_vector),
-        (regression.KIND_GOAL_DIFFERENCE, league.gd_vector),
+    for kind, x_of in (
+        (regression.KIND_TABLE_RANK, lambda row: row.rank),
+        (regression.KIND_GOAL_DIFFERENCE, lambda row: row.goal_difference),
     ):
         want = []
         for table in tables:
-            x = [float(v) for v in vector(table, final_order)]
+            by_team = {row.team: x_of(row) for row in table.rows}
+            x = [float(by_team[team]) for team in final_order]
             try:
                 want.append((table.round, regression.simple_ols(x, y).r_squared))
             except regression.DegeneratePredictorError:

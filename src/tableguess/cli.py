@@ -21,9 +21,6 @@ from typing import IO, Iterator, Sequence
 from . import league, permstats, predictor, regression
 
 TABLE_FIELDS = ("position", "team")
-# Keeps every exact probability printable: the denominator n! must stay
-# under Python's 4300-digit limit for int-to-str conversion (1000! has 2568).
-STATS_MAX_N = 1000
 
 
 @contextlib.contextmanager
@@ -51,7 +48,7 @@ def read_table_file(path: str | Path) -> list[str]:
     the file, and the line when there is one.
     """
     try:
-        return _table_teams(Path(path).read_text(encoding="utf-8"))
+        return _table_teams(league.read_text(path))
     # json raises RecursionError on deeply nested arrays
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -97,8 +94,8 @@ def _table_teams(text: str) -> list[str]:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.n > STATS_MAX_N:
-        raise ValueError(f"--n must be at most {STATS_MAX_N}, got {args.n}")
+    if args.n > permstats.STATS_MAX_N:
+        raise ValueError(f"--n must be at most {permstats.STATS_MAX_N}, got {args.n}")
     stats = permstats.score_stats(args.n)
     fields: list[tuple[str, object]] = [
         ("n", stats.n),
@@ -192,8 +189,8 @@ def _verify_mc(n: int, samples: int, seed: int) -> tuple[list[str], bool]:
 
 
 def _check_verify_limits(args: argparse.Namespace) -> None:
-    if args.n is not None and args.n > STATS_MAX_N:
-        raise ValueError(f"--n must be at most {STATS_MAX_N}, got {args.n}")
+    if args.n is not None and args.n > permstats.STATS_MAX_N:
+        raise ValueError(f"--n must be at most {permstats.STATS_MAX_N}, got {args.n}")
     if args.samples is None:
         return
     if args.samples < 1:

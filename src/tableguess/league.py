@@ -10,22 +10,26 @@ to build valid permutations.
 A dataset is tallied once, when it is built: it carries a ``SeasonFrame``
 of cumulative per-team counts and table orders after each round, which
 the standings functions, ``predictor.evaluate_season`` and
-``regression.r2_curve`` read.
+``regression.r2_curve`` read. The frame is plain Python lists of ints, so
+no reader of match data needs numpy.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import sub
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-import numpy as np
-
 MATCH_FIELDS = ("season", "round", "home_team", "away_team", "home_goals", "away_goals")
-# Rounds and goals stay below this so that they and every cumulative sum
-# over a season fit the frame's int64 arrays.
+# Rounds and goals must stay below this. The frame's Python ints cannot
+# overflow; the limit is part of the match-file contract, which refuses
+# values no real season has.
 _FIELD_LIMIT = 2**31
 
 
@@ -55,58 +59,119 @@ class MatchRecord:
 class SeasonFrame:
     """Cumulative per-team tallies of one season, one row per played round.
 
-    Every array has one column per team, in ``SeasonDataset.teams`` order,
-    which is name order. Row 0 is the table before any match and row k the
-    table after the k-th distinct round number that has a match, so rounds
-    without matches share a row and sparse round numbers cost no memory.
+    Each tally is a list of rows, and each row a list of Python ints with
+    one entry per team in ``SeasonDataset.teams`` order, which is name
+    order. Row 0 is the table before any match and row k the table after
+    the k-th distinct round number that has a match, so rounds without
+    matches share a row and sparse round numbers cost no memory.
     ``order[k]`` lists team columns in table order and ``places[k]`` gives
     each team's place in it (1-based).
+
+    Points, goal difference and goals for, which order the tables, are
+    tallied when the frame is built. ``gd_places``, which only
+    ``evaluate_season`` reads, and ``results``, the played, won and drawn
+    tallies that only the standings tables show, are built on first use.
     """
 
     def __init__(self, teams: Sequence[str], matches: Sequence[MatchRecord]) -> None:
         column = {team: i for i, team in enumerate(teams)}
-        size = len(matches)
+        by_round: dict[int, list[tuple[int, int, int, int]]] = {}
+        for m in matches:
+            by_round.setdefault(m.round, []).append(
+                (column[m.home_team], column[m.away_team], m.home_goals, m.away_goals)
+            )
+        self.played_rounds = sorted(by_round)
+        # (home column, away column, home goals, away goals) by frame row 1..
+        self._scores = [by_round[rnd] for rnd in self.played_rounds]
+        self._size = len(teams)
+        points, gd, gf = [0] * self._size, [0] * self._size, [0] * self._size
+        self.points, self.gd, self.gf = [points[:]], [gd[:]], [gf[:]]
+        for scores in self._scores:
+            for home, away, home_goals, away_goals in scores:
+                gf[home] += home_goals
+                gf[away] += away_goals
+                gd[home] += home_goals - away_goals
+                gd[away] += away_goals - home_goals
+                if home_goals > away_goals:
+                    points[home] += 3
+                elif home_goals < away_goals:
+                    points[away] += 3
+                else:
+                    points[home] += 1
+                    points[away] += 1
+            self.points.append(points[:])
+            self.gd.append(gd[:])
+            self.gf.append(gf[:])
+        # sorting by the least significant key first, each sort stable,
+        # leaves the name order of the columns as the last tie-break
+        self.order = []
+        for row_points, row_gd, row_gf in zip(self.points, self.gd, self.gf):
+            order = sorted(range(self._size), key=row_gf.__getitem__, reverse=True)
+            order.sort(key=row_gd.__getitem__, reverse=True)
+            order.sort(key=row_points.__getitem__, reverse=True)
+            self.order.append(order)
+        self.places = _places(self.order)
 
-        def ints(values: Iterable[int]) -> np.ndarray:
-            return np.fromiter(values, np.int64, size)
+    @cached_property
+    def gd_places(self) -> list[list[int]]:
+        """Places in the order of goal difference, points, goals for, then name.
 
-        rounds = ints(m.round for m in matches)
-        self.played_rounds, round_row = np.unique(rounds, return_inverse=True)
-        home = ints(column[m.home_team] for m in matches)
-        away = ints(column[m.away_team] for m in matches)
-        home_goals = ints(m.home_goals for m in matches)
-        away_goals = ints(m.away_goals for m in matches)
-        shape = (len(self.played_rounds) + 1, len(teams))
-        cells = (np.concatenate([round_row, round_row]) + 1) * shape[1]
-        cells += np.concatenate([home, away])
-        scored = np.concatenate([home_goals, away_goals])
-        conceded = np.concatenate([away_goals, home_goals])
+        The table order already breaks ties in that way, so one stable sort
+        of it by goal difference gives this order.
+        """
+        return _places(
+            [
+                sorted(order, key=row_gd.__getitem__, reverse=True)
+                for order, row_gd in zip(self.order, self.gd)
+            ]
+        )
 
-        def cumulative(weights: np.ndarray | None = None) -> np.ndarray:
-            per_round = np.bincount(cells, weights, minlength=shape[0] * shape[1])
-            return per_round.astype(np.int64).reshape(shape).cumsum(axis=0)
+    @cached_property
+    def results(self) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+        """The played, won and drawn tallies."""
+        played, won, drawn = [0] * self._size, [0] * self._size, [0] * self._size
+        tallies = [played[:]], [won[:]], [drawn[:]]
+        for scores in self._scores:
+            for home, away, home_goals, away_goals in scores:
+                played[home] += 1
+                played[away] += 1
+                if home_goals > away_goals:
+                    won[home] += 1
+                elif home_goals < away_goals:
+                    won[away] += 1
+                else:
+                    drawn[home] += 1
+                    drawn[away] += 1
+            for rows, row in zip(tallies, (played, won, drawn)):
+                rows.append(row[:])
+        return tallies
 
-        self.played = cumulative()
-        self.won = cumulative(scored > conceded)
-        self.drawn = cumulative(scored == conceded)
-        self.lost = cumulative(scored < conceded)
-        self.gf = cumulative(scored)
-        self.ga = cumulative(conceded)
-        self.gd = self.gf - self.ga
-        self.points = 3 * self.won + self.drawn
-        # lexsort is stable and columns are in name order, so equal teams
-        # stay in name order
-        self.order = np.lexsort((-self.gf, -self.gd, -self.points), axis=-1)
-        self.places = np.argsort(self.order, axis=-1) + 1
+    def counts(self, k: int) -> list[tuple[int, ...]]:
+        """Each team's played, won, drawn, lost, goals for and against, goal
+        difference and points at row ``k``, in column order."""
+        played, won, drawn = (tally[k] for tally in self.results)
+        gf, gd = self.gf[k], self.gd[k]
+        lost = map(sub, map(sub, played, won), drawn)
+        return list(zip(played, won, drawn, lost, gf, map(sub, gf, gd), gd, self.points[k]))
 
-    def row(self, rounds: Sequence[int] | np.ndarray) -> np.ndarray:
-        """The frame rows holding the tables after each of ``rounds``."""
-        return np.searchsorted(self.played_rounds, rounds, side="right")
+    def row(self, rnd: int) -> int:
+        """The frame row holding the table after round ``rnd``."""
+        return bisect_right(self.played_rounds, rnd)
 
-    def by_final_place(self, values: np.ndarray) -> np.ndarray:
-        """A frame-shaped array's rows for rounds 1..R, columns in final-table order."""
-        rows = self.row(np.arange(1, self.played_rounds[-1] + 1))
-        return values[rows][:, self.order[-1]]
+    def round_rows(self) -> list[int]:
+        """The frame row of each round 1..R."""
+        return [self.row(rnd) for rnd in range(1, self.played_rounds[-1] + 1)]
+
+
+def _places(orders: list[list[int]]) -> list[list[int]]:
+    """The 1-based place of each column in each row's order."""
+    rows = []
+    for order in orders:
+        places = [0] * len(order)
+        for place, column in enumerate(order, start=1):
+            places[column] = place
+        rows.append(places)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -194,17 +259,27 @@ def _rows(source: IO[str]) -> Iterator[tuple[int, list[str]]]:
         raise MatchFileError(f"line {reader.line_num}: {exc}") from None
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; an error names the line of the first byte
+    that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise ValueError(f"line {line}: not valid {exc.encoding}: {exc.reason}") from None
+
+
 def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
     """Read and validate a match CSV into a single-season dataset.
 
     Errors name the line, and the file when ``source`` is a path.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            try:
-                return parse_matches(fh)
-            except ValueError as exc:
-                raise MatchFileError(f"{source}: {exc}") from None
+        try:
+            return parse_matches(io.StringIO(read_text(source), newline=""))
+        except ValueError as exc:
+            raise MatchFileError(f"{source}: {exc}") from None
     rows = _rows(source)
     try:
         _, header = next(rows)
@@ -245,26 +320,16 @@ def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
 
 def _tables(dataset: SeasonDataset, rounds: Sequence[int]) -> list[StandingsTable]:
     frame = dataset._frame
-    rows = frame.row(rounds)
-    order = frame.order[rows]
-    columns = [order] + [
-        np.take_along_axis(c[rows], order, axis=-1)
-        for c in (
-            frame.played, frame.won, frame.drawn, frame.lost,
-            frame.gf, frame.ga, frame.gd, frame.points,
+    tables = []
+    for rnd in rounds:
+        k = frame.row(rnd)
+        counts = frame.counts(k)
+        rows = tuple(
+            StandingsRow(dataset.teams[team], *counts[team], rank=rank)
+            for rank, team in enumerate(frame.order[k], start=1)
         )
-    ]
-    return [
-        StandingsTable(
-            season=dataset.season,
-            round=rnd,
-            rows=tuple(
-                StandingsRow(dataset.teams[team], *counts, rank=rank)
-                for rank, (team, *counts) in enumerate(table, start=1)
-            ),
-        )
-        for rnd, table in zip(rounds, np.stack(columns, axis=-1).tolist())
-    ]
+        tables.append(StandingsTable(season=dataset.season, round=rnd, rows=rows))
+    return tables
 
 
 def standings_series(dataset: SeasonDataset) -> list[StandingsTable]:

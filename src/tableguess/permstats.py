@@ -15,11 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterator, Sequence
 
-from . import _kernels
-
 # Enumeration holds all n! permutations in memory at once, so it stops
-# here.
-ORACLE_MAX_N = _kernels.ENUM_MAX_N
+# here; tableguess._kernels.ENUM_MAX_N is the same ceiling.
+ORACLE_MAX_N = 10
+# The largest league score_stats accepts. It bounds the time of the
+# factorials, and keeps every exact probability printable: the denominator
+# n! must stay under Python's 4300-digit limit for int-to-str conversion
+# (1000! has 2568).
+STATS_MAX_N = 1000
 # Bounds the time of one Monte Carlo run as n * samples; 10**8 samples at
 # n = 20 stay within it. The sampler's memory is bounded by its block size.
 MC_MAX_WORK = 2 * 10**9
@@ -159,9 +162,14 @@ class ScoreStats:
 
 
 def score_stats(n: int) -> ScoreStats:
-    """Evaluate every closed form exactly for a league of size n."""
+    """Evaluate every closed form exactly for a league of size n.
+
+    Refuses n above ``STATS_MAX_N``.
+    """
     if n < 2:
         raise ValueError(f"league size must be at least 2, got {n}")
+    if n > STATS_MAX_N:
+        raise ValueError(f"league size must be at most {STATS_MAX_N}, got {n}")
     expected_score = Fraction(n * n - 1, 3)
     variance_score = Fraction((n + 1) * (2 * n * n + 7), 45)
     max_score = n * n // 2
@@ -207,6 +215,8 @@ def brute_force_distribution(n: int) -> ScoreDistribution:
         raise OracleCapError(
             f"enumeration of {n}! permutations exceeds the ceiling of {ORACLE_MAX_N}"
         )
+    from . import _kernels
+
     counts = _kernels.score_distribution_counts(n)
     return ScoreDistribution(
         n=n, counts={s: int(c) for s, c in enumerate(counts) if c}
@@ -257,6 +267,8 @@ def monte_carlo_mae(n: int, samples: int, seed: int) -> MonteCarloSummary:
         raise ValueError(
             f"n * samples must be at most {MC_MAX_WORK}, got {n} * {samples}"
         )
+    from . import _kernels
+
     total, total_sq, lo, hi = _kernels.mc_score_moments(n, samples, seed)
     mean = Fraction(total, samples * n)
     variance = Fraction(

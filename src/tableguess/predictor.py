@@ -12,9 +12,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import IO, Sequence
-
-import numpy as np
 
 from . import permstats
 from .league import SeasonDataset, StandingsTable
@@ -91,34 +90,40 @@ def evaluate_season(
     n = len(dataset.teams)
     baseline = permstats.score_stats(n).expected_mae
     cutoff = baseline_fraction * float(baseline)
-    # the order of predicted_order_by_gd: goal difference, points, goals
-    # for, then name (the frame's column order, kept by the stable sort)
-    by_gd = np.lexsort((-frame.gf, -frame.points, -frame.gd), axis=-1)
-    places = {
-        STRATEGY_RANK: frame.by_final_place(frame.places),
-        STRATEGY_GD: frame.by_final_place(np.argsort(by_gd, axis=-1) + 1),
+    final = frame.places[-1]
+    squares = sum(map(mul, final, final))
+    # Per frame row and strategy, the sums over teams of |place error| and
+    # its square. Both places and final places are permutations of 1..n,
+    # so the sum of (p - f)^2 is 2 * (sum of f^2 - sum of p * f). The
+    # frame's goal-difference order is that of predicted_order_by_gd.
+    sums = {
+        strategy: [
+            (
+                sum(map(abs, map(sub, row, final))),
+                2 * (squares - sum(map(mul, row, final))),
+            )
+            for row in places
+        ]
+        for strategy, places in (
+            (STRATEGY_RANK, frame.places),
+            (STRATEGY_GD, frame.gd_places),
+        )
     }
-    errors = {s: p - np.arange(1, n + 1) for s, p in places.items()}
-    abs_sums = {s: np.abs(d).sum(axis=1).tolist() for s, d in errors.items()}
-    sq_sums = {s: (d * d).sum(axis=1).tolist() for s, d in errors.items()}
     records: list[RoundForecast] = []
     threshold_rounds: dict[str, int | None] = {s: None for s in STRATEGIES}
     gd_better: list[int] = []
-    for i in range(dataset.rounds):
-        rnd = i + 1
+    for rnd, k in enumerate(frame.round_rows(), start=1):
         for strategy in STRATEGIES:
-            value = Fraction(abs_sums[strategy][i], n)
+            abs_sum, sq_sum = sums[strategy][k]
+            value = Fraction(abs_sum, n)
             records.append(
                 RoundForecast(
-                    round=rnd,
-                    strategy=strategy,
-                    mae=value,
-                    mse=Fraction(sq_sums[strategy][i], n),
+                    round=rnd, strategy=strategy, mae=value, mse=Fraction(sq_sum, n)
                 )
             )
             if threshold_rounds[strategy] is None and float(value) < cutoff:
                 threshold_rounds[strategy] = rnd
-        if abs_sums[STRATEGY_GD][i] < abs_sums[STRATEGY_RANK][i]:
+        if sums[STRATEGY_GD][k][0] < sums[STRATEGY_RANK][k][0]:
             gd_better.append(rnd)
     return ForecastReport(
         season=dataset.season,

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
-
-import numpy as np
+from operator import index, mul
+from typing import IO, Iterable
 
 from .league import SeasonDataset
 
@@ -21,9 +20,6 @@ KIND_TABLE_RANK = "table_rank"
 KIND_GOAL_DIFFERENCE = "goal_difference"
 CURVE_KINDS = (KIND_TABLE_RANK, KIND_GOAL_DIFFERENCE)
 CURVE_FIELDS = ("season", "kind", "round", "r_squared")
-
-# overshoot beyond this is a genuine numerical bug, not rounding
-_CLAMP_EPS = 1e-12
 
 
 class DegeneratePredictorError(ValueError):
@@ -45,61 +41,91 @@ class R2Curve:
     points: tuple[tuple[int, float | None], ...]
 
 
-def simple_ols(x: Sequence[float], y: Sequence[float]) -> OlsFit:
+def _r_squared(cxy: int, cxx: int, cyy: int) -> float | None:
+    """R-squared cxy^2 / (cxx * cyy) from the centred integer sums
+    c_uv = n * sum(u * v) - sum(u) * sum(v), rounded once.
+
+    It is exact before that rounding, so it always lies in [0, 1]. It is
+    None when y is constant (cyy = 0).
+    """
+    if cxx == 0:
+        raise DegeneratePredictorError("predictor has zero variance")
+    return None if cyy == 0 else cxy * cxy / (cxx * cyy)
+
+
+def _scaled(values: Iterable, name: str) -> tuple[list[int], int]:
+    """``values`` as integers over one common denominator, and that denominator.
+
+    Integers stay as they are. Anything else is read as a float, whose
+    integer ratio has a power-of-two denominator, so the largest one is
+    common to all.
+    """
+    ratios = []
+    try:
+        for value in values:
+            try:
+                ratios.append((index(value), 1))
+            except TypeError:
+                ratios.append(float(value).as_integer_ratio())
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a 1-d sequence of finite numbers") from None
+    scale = max((q for _, q in ratios), default=1)
+    return [p * (scale // q) for p, q in ratios], scale
+
+
+def simple_ols(x: Iterable[float], y: Iterable[float]) -> OlsFit:
     """Least-squares line y = beta0 + beta1 * x with R-squared.
 
-    R-squared is 1 - SSres/SStot from the actual residuals (not the
-    correlation shortcut), and is None when y is constant (SStot = 0).
+    The fit is computed exactly from the inputs' integer ratios and each
+    of beta0, beta1 and R-squared is rounded once. R-squared is None when
+    y is constant.
     """
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.ndim != 1 or ya.ndim != 1 or xa.size != ya.size:
+    xs, x_scale = _scaled(x, "x")
+    ys, y_scale = _scaled(y, "y")
+    n = len(xs)
+    if n != len(ys):
         raise ValueError("x and y must be equal-length 1-d sequences")
-    if xa.size < 3:
-        raise ValueError(f"need at least 3 points, got {xa.size}")
-    xm = xa.mean()
-    ym = ya.mean()
-    dx = xa - xm
-    dy = ya - ym
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise DegeneratePredictorError("predictor has zero variance")
-    beta1 = float(dx @ dy) / sxx
-    beta0 = float(ym - beta1 * xm)
-    ss_tot = float(dy @ dy)
-    if ss_tot == 0.0:
-        return OlsFit(beta0=beta0, beta1=beta1, r_squared=None, n_points=xa.size)
-    residuals = ya - (beta0 + beta1 * xa)
-    r_squared = 1.0 - float(residuals @ residuals) / ss_tot
-    if not 0.0 <= r_squared <= 1.0:
-        if -_CLAMP_EPS <= r_squared < 0.0:
-            r_squared = 0.0
-        elif 1.0 < r_squared <= 1.0 + _CLAMP_EPS:
-            r_squared = 1.0
-        else:
-            raise ValueError(f"R-squared {r_squared!r} is outside [0,1]")
-    return OlsFit(beta0=beta0, beta1=beta1, r_squared=r_squared, n_points=xa.size)
+    if n < 3:
+        raise ValueError(f"need at least 3 points, got {n}")
+    sx, sy = sum(xs), sum(ys)
+    cxx = n * sum(map(mul, xs, xs)) - sx * sx
+    cxy = n * sum(map(mul, xs, ys)) - sx * sy
+    cyy = n * sum(map(mul, ys, ys)) - sy * sy
+    r_squared = _r_squared(cxy, cxx, cyy)
+    return OlsFit(
+        beta0=(sy * cxx - cxy * sx) / (n * cxx * y_scale),
+        beta1=cxy * x_scale / (cxx * y_scale),
+        r_squared=r_squared,
+        n_points=n,
+    )
 
 
 def r2_curve(dataset: SeasonDataset, kind: str) -> R2Curve:
     """R-squared of the round-r predictor against the final table, per round."""
     if kind not in CURVE_KINDS:
         raise ValueError(f"kind must be one of {CURVE_KINDS}, got {kind!r}")
-    if len(dataset.teams) < 3:
+    n = len(dataset.teams)
+    if n < 3:
         raise ValueError("need at least 3 teams to fit per-round regressions")
     frame = dataset._frame
-    values = frame.places if kind == KIND_TABLE_RANK else frame.gd
-    xs = frame.by_final_place(values).astype(np.float64)
-    y = [float(i) for i in range(1, len(dataset.teams) + 1)]
-    points: list[tuple[int, float | None]] = []
-    for rnd, x in enumerate(xs, start=1):
+    # x and y hold one entry per team in the frame's column order; the sums
+    # do not depend on that order
+    y = frame.places[-1]
+    sy = sum(y)
+    cyy = n * sum(map(mul, y, y)) - sy * sy
+    per_row: list[float | None] = []
+    for x in frame.places if kind == KIND_TABLE_RANK else frame.gd:
+        sx = sum(x)
+        cxx = n * sum(map(mul, x, x)) - sx * sx
+        cxy = n * sum(map(mul, x, y)) - sx * sy
         try:
-            fit = simple_ols(x, y)
+            per_row.append(_r_squared(cxy, cxx, cyy))
         except DegeneratePredictorError:
-            points.append((rnd, None))
-        else:
-            points.append((rnd, fit.r_squared))
-    return R2Curve(season=dataset.season, kind=kind, points=tuple(points))
+            per_row.append(None)
+    points = tuple(
+        (rnd, per_row[k]) for rnd, k in enumerate(frame.round_rows(), start=1)
+    )
+    return R2Curve(season=dataset.season, kind=kind, points=points)
 
 
 def threshold_round(curve: R2Curve, threshold: float) -> int | None:

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from tableguess import league
-from tableguess.cli import STATS_MAX_N, _check_verify_limits, main, read_table_file
-from tableguess.permstats import MC_MAX_WORK, ORACLE_MAX_N
+from tableguess.cli import _check_verify_limits, main, read_table_file
+from tableguess.permstats import MC_MAX_WORK, ORACLE_MAX_N, STATS_MAX_N
 from conftest import FLAT_SEASON_CSV, DRAWISH_SEASON_CSV, curve_rows, report_rows
 
 
@@ -414,6 +414,20 @@ class TestTableFiles:
         with pytest.raises(ValueError, match=message) as info:
             read_table_file(bad)
         assert str(info.value).startswith(f"{bad}: ")
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"position,team\n1,\xff\n2,B\n", b'["A",\n"\xff"]\n'],
+        ids=["csv", "json"],
+    )
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad.table"
+        bad.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            read_table_file(bad)
+        assert str(info.value) == f"{bad}: line 2: not valid utf-8: invalid start byte"
+        code, _, err = run(capsys, "mae", "--pred", str(bad), "--actual", str(bad))
+        assert (code, err) == (2, f"error: {info.value}\n")
 
     def test_positions_may_come_unordered(self, tmp_path):
         table = tmp_path / "shuffled.csv"

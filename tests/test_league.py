@@ -96,6 +96,13 @@ class TestParsing:
         with pytest.raises(MatchFileError, match=f"^{path}: .*utf-8"):
             parse_matches(str(path))
 
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path):
+        path = tmp_path / "matches.csv"
+        path.write_bytes(HEADER.encode() + b"S,1,\xff,B,2,0\nS,2,A,B,0,0\n")
+        with pytest.raises(MatchFileError) as info:
+            parse_matches(path)
+        assert str(info.value) == f"{path}: line 2: not valid utf-8: invalid start byte"
+
     def test_column_order_is_flexible(self):
         text = "round,season,away_team,home_team,away_goals,home_goals\n1,S,B,A,0,2\n"
         dataset = parse_text(text)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableguess import permstats
+from tableguess import _kernels, permstats
 from tableguess.permstats import (
     DimensionMismatchError,
     OracleCapError,
@@ -252,6 +252,16 @@ class TestScoreStats:
         with pytest.raises(ValueError):
             score_stats(0)
 
+    def test_refuses_huge_leagues_before_any_factorial(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("a factorial was taken before the size check")
+
+        assert score_stats(permstats.STATS_MAX_N).n == permstats.STATS_MAX_N
+        monkeypatch.setattr(permstats.math, "factorial", refuse)
+        for n in (permstats.STATS_MAX_N + 1, 10**7):
+            with pytest.raises(ValueError, match="league size must be at most 1000"):
+                score_stats(n)
+
 
 class TestBruteForce:
     def test_three_team_distribution(self):
@@ -279,6 +289,9 @@ class TestBruteForce:
             brute_force_distribution(permstats.ORACLE_MAX_N + 1)
         with pytest.raises(ValueError):
             brute_force_distribution(1)
+
+    def test_ceiling_is_the_kernels_ceiling(self):
+        assert permstats.ORACLE_MAX_N == _kernels.ENUM_MAX_N
 
     def test_moments_match_closed_forms(self):
         for n in range(2, 7):
@@ -341,7 +354,7 @@ class TestMonteCarlo:
         def refuse(*args, **kwargs):
             raise AssertionError("sampling started before the work bound was checked")
 
-        monkeypatch.setattr(permstats._kernels, "mc_score_moments", refuse)
+        monkeypatch.setattr(_kernels, "mc_score_moments", refuse)
         with pytest.raises(ValueError, match="n \\* samples must be at most"):
             monte_carlo_mae(1000, 10**8, 1)
         with pytest.raises(ValueError, match="n \\* samples must be at most"):

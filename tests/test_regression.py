@@ -1,7 +1,11 @@
 import io
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tableguess import regression
 from tableguess.regression import (
@@ -87,6 +91,69 @@ class TestSimpleOls:
             x = rng.normal(size=size)
             y = rng.normal(size=size)
             assert abs(simple_ols(x, y).r_squared - simple_ols(y, x).r_squared) <= IDENTITY_TOL
+
+
+def exact_fit(x, y):
+    """(beta0, beta1, R^2) from Fractions, each rounded once; R^2 is None
+    when y is constant."""
+    x = [Fraction(v) for v in x]
+    y = [Fraction(v) for v in y]
+    n = len(x)
+    sx, sy = sum(x), sum(y)
+    cxx = n * sum(a * a for a in x) - sx * sx
+    cxy = n * sum(a * b for a, b in zip(x, y)) - sx * sy
+    cyy = n * sum(b * b for b in y) - sy * sy
+    beta1 = cxy / cxx
+    r_squared = None if cyy == 0 else float(cxy * cxy / (cxx * cyy))
+    return float((sy - beta1 * sx) / n), float(beta1), r_squared
+
+
+def point_lists(values):
+    return st.integers(3, 30).flatmap(
+        lambda n: st.tuples(st.lists(values, min_size=n, max_size=n),
+                            st.lists(values, min_size=n, max_size=n))
+    )
+
+
+class TestExactOls:
+    @settings(deadline=None)
+    @given(point_lists(st.integers(-(10**30), 10**30) | st.integers(-3, 3)))
+    def test_r_squared_is_the_integer_formula_rounded_once(self, xy):
+        x, y = xy
+        n = len(x)
+        sxx = n * sum(a * a for a in x) - sum(x) ** 2
+        syy = n * sum(b * b for b in y) - sum(y) ** 2
+        sxy = n * sum(a * b for a, b in zip(x, y)) - sum(x) * sum(y)
+        if sxx == 0:
+            with pytest.raises(DegeneratePredictorError):
+                simple_ols(x, y)
+            return
+        fit = simple_ols(x, y)
+        assert fit.r_squared == (None if syy == 0 else sxy * sxy / (sxx * syy))
+        assert (fit.beta0, fit.beta1, fit.r_squared) == exact_fit(x, y)
+
+    @settings(deadline=None)
+    @given(point_lists(st.floats(-1e150, 1e150) | st.floats(-1.0, 1.0)))
+    def test_float_inputs_are_read_exactly(self, xy):
+        x, y = xy
+        if len(set(x)) == 1:
+            return
+        fit = simple_ols(x, y)
+        assert (fit.beta0, fit.beta1, fit.r_squared) == exact_fit(x, y)
+        assert fit.r_squared is None or 0.0 <= fit.r_squared <= 1.0
+
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, None, "a", [1.0, 2.0], object()]
+    )
+    def test_non_finite_or_non_numeric_input_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="x must be a 1-d sequence of finite numbers"):
+            simple_ols([1.0, bad, 3.0], [1, 2, 3])
+        with pytest.raises(ValueError, match="y must be"):
+            simple_ols([1, 2, 3], [1.0, 2.0, bad])
+
+    def test_numpy_scalars_are_numbers(self):
+        x = np.arange(1, 6)
+        assert simple_ols(x, x.astype(np.float32)).r_squared == 1.0
 
 
 class TestR2Curve:

@@ -7,6 +7,15 @@ points desc, goal difference desc, goals for desc, team name asc. The name
 fallback makes every table a total order, which downstream code relies on
 to build valid permutations.
 
+A match file is parsed in one pass. Each CSV row is read once: its three
+integers are converted in one step, its record is filled in place of being
+built by ``__init__``, and the one check that ``MatchRecord`` also runs is
+applied to it once. Whole-season conditions (one season id, no team twice
+in a round) are tested by comparing set sizes; only a file that fails them
+is scanned record by record to name the first bad line. A leading UTF-8
+byte order mark is dropped, and blank team names and season ids are
+refused.
+
 A dataset is tallied once, when it is built: it carries a ``SeasonFrame``
 of cumulative per-team counts and table orders after each round, which
 the standings functions, ``predictor.evaluate_season`` and
@@ -24,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import sub
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 MATCH_FIELDS = ("season", "round", "home_team", "away_team", "home_goals", "away_goals")
 # Rounds and goals must stay below this. The frame's Python ints cannot
@@ -37,7 +46,32 @@ class MatchFileError(ValueError):
     """A match file failed validation; the message names the offending line."""
 
 
-@dataclass(frozen=True)
+def _check_match(m: MatchRecord) -> None:
+    """Refuse a match no season holds. ``MatchRecord`` and ``parse_matches``
+    both call this, so both refuse the same values with the same message."""
+    # one expression passes a valid match; the branches below only name the fault
+    if (
+        1 <= m.round < _FIELD_LIMIT
+        and 0 <= m.home_goals < _FIELD_LIMIT
+        and 0 <= m.away_goals < _FIELD_LIMIT
+        and m.home_team != m.away_team
+        and m.season.strip()
+        and m.home_team.strip()
+        and m.away_team.strip()
+    ):
+        return
+    if not 1 <= m.round < _FIELD_LIMIT:
+        raise ValueError(f"round must be in 1..{_FIELD_LIMIT - 1}, got {m.round}")
+    for goals in (m.home_goals, m.away_goals):
+        if not 0 <= goals < _FIELD_LIMIT:
+            raise ValueError(f"goals must be in 0..{_FIELD_LIMIT - 1}, got {goals}")
+    for name in ("season", "home_team", "away_team"):
+        if not getattr(m, name).strip():
+            raise ValueError(f"{name} must not be blank")
+    raise ValueError(f"{m.home_team!r} cannot play itself")
+
+
+@dataclass(frozen=True, slots=True)
 class MatchRecord:
     season: str
     round: int
@@ -47,13 +81,7 @@ class MatchRecord:
     away_goals: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.round < _FIELD_LIMIT:
-            raise ValueError(f"round must be in 1..{_FIELD_LIMIT - 1}, got {self.round}")
-        for goals in (self.home_goals, self.away_goals):
-            if not 0 <= goals < _FIELD_LIMIT:
-                raise ValueError(f"goals must be in 0..{_FIELD_LIMIT - 1}, got {goals}")
-        if self.home_team == self.away_team:
-            raise ValueError(f"{self.home_team!r} cannot play itself")
+        _check_match(self)
 
 
 class SeasonFrame:
@@ -220,51 +248,42 @@ def _assemble(
     if not records:
         raise MatchFileError("no matches given")
     season = records[0].season
-    seen: set[tuple[int, str]] = set()
-    for i, m in enumerate(records):
-        home, away = (m.round, m.home_team), (m.round, m.away_team)
-        if m.season != season:
-            problem = f"mixed season ids {season!r} and {m.season!r}"
-        elif home in seen or away in seen:
-            team = m.home_team if home in seen else m.away_team
-            problem = f"team {team!r} appears twice in round {m.round}"
-        else:
-            seen.add(home)
-            seen.add(away)
-            continue
-        raise MatchFileError(problem if lines is None else f"line {lines[i]}: {problem}")
+    rounds = [m.round for m in records]
+    homes = [m.home_team for m in records]
+    aways = [m.away_team for m in records]
+    slots = set(zip(rounds, homes))
+    slots.update(zip(rounds, aways))
+    # a team twice in a round leaves fewer (round, team) pairs than team
+    # appearances; only then, or with a second season id, does the scan
+    # below run, to name the first clashing record
+    if len(slots) != 2 * len(records) or len({m.season for m in records}) != 1:
+        seen: set[tuple[int, str]] = set()
+        for i, m in enumerate(records):
+            home, away = (m.round, m.home_team), (m.round, m.away_team)
+            if m.season != season:
+                problem = f"mixed season ids {season!r} and {m.season!r}"
+            elif home in seen or away in seen:
+                team = m.home_team if home in seen else m.away_team
+                problem = f"team {team!r} appears twice in round {m.round}"
+            else:
+                seen.add(home)
+                seen.add(away)
+                continue
+            raise MatchFileError(problem if lines is None else f"line {lines[i]}: {problem}")
     return SeasonDataset(
         season=season,
-        teams=tuple(sorted({team for _, team in seen})),
+        teams=tuple(sorted({*homes, *aways})),
         matches=records,
-        rounds=max(m.round for m in records),
+        rounds=max(rounds),
     )
 
 
-def _parse_int(value: str, name: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _rows(source: IO[str]) -> Iterator[tuple[int, list[str]]]:
-    """Each CSV row with its line number; the csv module's errors become
-    ``MatchFileError`` naming the line."""
-    reader = csv.reader(source)
-    try:
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as exc:
-        raise MatchFileError(f"line {reader.line_num}: {exc}") from None
-
-
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file; an error names the line of the first byte
-    that is not UTF-8."""
+    """The text of a UTF-8 file without a leading byte order mark; an error
+    names the line of the first byte that is not UTF-8."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data[: exc.start].count(b"\n") + 1
         raise ValueError(f"line {line}: not valid {exc.encoding}: {exc.reason}") from None
@@ -280,55 +299,84 @@ def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
             return parse_matches(io.StringIO(read_text(source), newline=""))
         except ValueError as exc:
             raise MatchFileError(f"{source}: {exc}") from None
-    rows = _rows(source)
+    reader = csv.reader(source)
     try:
-        _, header = next(rows)
-    except StopIteration:
-        raise MatchFileError("empty input: no header row") from None
+        return _read_matches(reader)
+    except csv.Error as exc:
+        raise MatchFileError(f"line {reader.line_num}: {exc}") from None
+
+
+def _read_matches(reader) -> SeasonDataset:
+    """The dataset of a ``csv.reader``'s rows. Each row is read once and each
+    check runs once: a record is filled through its slots, not built by
+    ``__init__``, and then checked."""
+    header = next(reader, None)
+    if header is None:
+        raise MatchFileError("empty input: no header row")
     header = [h.strip() for h in header]
     if set(header) != set(MATCH_FIELDS) or len(header) != len(MATCH_FIELDS):
         raise MatchFileError(
             f"line 1: expected header {','.join(MATCH_FIELDS)}, got {','.join(header)}"
         )
-    col = {name: header.index(name) for name in MATCH_FIELDS}
-    matches: list[MatchRecord] = []
+    season_at, round_at, home_at, away_at, home_goals_at, away_goals_at = map(
+        header.index, MATCH_FIELDS
+    )
+    width = len(MATCH_FIELDS)
+    new = object.__new__
+    put_season, put_round, put_home, put_away, put_home_goals, put_away_goals = (
+        getattr(MatchRecord, name).__set__ for name in MatchRecord.__slots__
+    )
+    records: list[MatchRecord] = []
     lines: list[int] = []
-    for line, row in rows:
-        if not row:
-            continue
-        if len(row) != len(MATCH_FIELDS):
-            raise MatchFileError(
-                f"line {line}: expected {len(MATCH_FIELDS)} fields, got {len(row)}"
-            )
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            raise MatchFileError(f"line {reader.line_num}: expected {width} fields, got {len(row)}")
+        record = new(MatchRecord)
         try:
-            record = MatchRecord(
-                season=row[col["season"]].strip(),
-                round=_parse_int(row[col["round"]], "round"),
-                home_team=row[col["home_team"]].strip(),
-                away_team=row[col["away_team"]].strip(),
-                home_goals=_parse_int(row[col["home_goals"]], "home_goals"),
-                away_goals=_parse_int(row[col["away_goals"]], "away_goals"),
-            )
+            put_round(record, int(row[round_at]))
+            put_home_goals(record, int(row[home_goals_at]))
+            put_away_goals(record, int(row[away_goals_at]))
+        except ValueError:
+            # name the first integer field, in record order, that is not one
+            for name, at in (
+                ("round", round_at), ("home_goals", home_goals_at), ("away_goals", away_goals_at)
+            ):
+                try:
+                    int(row[at])
+                except ValueError:
+                    raise MatchFileError(
+                        f"line {reader.line_num}: {name} must be an integer, got {row[at]!r}"
+                    ) from None
+        put_season(record, row[season_at].strip())
+        put_home(record, row[home_at].strip())
+        put_away(record, row[away_at].strip())
+        try:
+            _check_match(record)
         except ValueError as exc:
-            raise MatchFileError(f"line {line}: {exc}") from None
-        matches.append(record)
-        lines.append(line)
-    if not matches:
+            raise MatchFileError(f"line {reader.line_num}: {exc}") from None
+        records.append(record)
+        lines.append(reader.line_num)
+    if not records:
         raise MatchFileError("empty input: no match rows")
-    return _assemble(tuple(matches), lines)
+    return _assemble(tuple(records), lines)
 
 
 def _tables(dataset: SeasonDataset, rounds: Sequence[int]) -> list[StandingsTable]:
     frame = dataset._frame
+    new, fields = object.__new__, StandingsRow.__dataclass_fields__
     tables = []
     for rnd in rounds:
         k = frame.row(rnd)
         counts = frame.counts(k)
-        rows = tuple(
-            StandingsRow(dataset.teams[team], *counts[team], rank=rank)
-            for rank, team in enumerate(frame.order[k], start=1)
-        )
-        tables.append(StandingsTable(season=dataset.season, round=rnd, rows=rows))
+        rows = []
+        for rank, team in enumerate(frame.order[k], start=1):
+            # the tally's counts need no checks, so skip __init__
+            row = new(StandingsRow)
+            row.__dict__.update(zip(fields, (dataset.teams[team], *counts[team], rank)))
+            rows.append(row)
+        tables.append(StandingsTable(season=dataset.season, round=rnd, rows=tuple(rows)))
     return tables
 
 

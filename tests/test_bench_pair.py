@@ -1,0 +1,74 @@
+"""The summary that tools/bench_pair.py writes into BENCH_*.json."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+spec = importlib.util.spec_from_file_location("bench_pair", TOOL)
+bench_pair = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pair)
+
+
+def result(p50: float, rss: float, extra: dict | None = None) -> dict:
+    metrics = {
+        "latency_p50_ms": {"value": p50, "unit": "ms"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
+        **(extra or {}),
+    }
+    return {"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}
+
+
+def run(pair: int, side: str, res: dict, trace: int = 0) -> dict:
+    return {"trace": trace, "pair": pair, "seed": 100 + pair, "side": side, "result": res}
+
+
+BETTER = {"latency_p50_ms": "lower", "peak_rss_mb": "lower", "kernels.rate": "higher"}
+
+
+def test_medians_quartiles_and_wins_per_metric():
+    parent_p50 = [5.0, 4.0, 6.0, 5.5]
+    change_p50 = [4.0, 4.0, 5.0, 4.5]
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent_p50, change_p50)):
+        runs.append(run(pair, "parent", result(p, 20.0)))
+        runs.append(run(pair, "change", result(c, 20.0 + pair)))
+    summary = bench_pair.summarize(runs, BETTER)
+    p50 = summary["trace0"]["latency_p50_ms"]
+    assert p50["unit"] == "ms"
+    assert p50["pairs"] == 4
+    assert p50["parent"] == {"median": 5.25, "q1": 4.75, "q3": 5.625}
+    assert p50["change"] == {"median": 4.25, "q1": 4.0, "q3": 4.625}
+    # the pair at 4.0 against 4.0 is a tie
+    assert (p50["change_wins"], p50["change_losses"]) == (3, 0)
+    rss = summary["trace0"]["peak_rss_mb"]
+    assert (rss["change_wins"], rss["change_losses"]) == (0, 3)
+
+
+def test_higher_is_better_and_unknown_metrics_get_no_wins():
+    runs = [
+        run(0, "parent", result(1.0, 1.0, {"kernels.rate": {"value": 10.0, "unit": "1/s"}}), trace=1),
+        run(0, "change", result(1.0, 1.0, {"kernels.rate": {"value": 12.0, "unit": "1/s"}}), trace=1),
+    ]
+    summary = bench_pair.summarize(runs, {"kernels.rate": "higher"})
+    rate = summary["trace1"]["kernels.rate"]
+    assert rate["parent"] == {"median": 10.0, "q1": 10.0, "q3": 10.0}
+    assert rate["change_wins"] == 1
+    assert "change_wins" not in summary["trace1"]["latency_p50_ms"]
+
+
+def test_unpaired_runs_and_modes_are_kept_apart():
+    runs = [
+        run(0, "parent", result(5.0, 20.0)),
+        run(0, "change", result(4.0, 20.0)),
+        run(1, "parent", result(9.0, 20.0)),
+        run(0, "parent", result(50.0, 20.0), trace=1),
+        run(0, "change", result(40.0, 20.0), trace=1),
+    ]
+    summary = bench_pair.summarize(runs, BETTER)
+    assert summary["trace0"]["latency_p50_ms"]["pairs"] == 1
+    assert summary["trace0"]["latency_p50_ms"]["parent"]["median"] == 5.0
+    assert summary["trace1"]["latency_p50_ms"]["change"]["median"] == 40.0
+
+
+def test_machine_names_the_host():
+    assert set(bench_pair.machine()) == {"cpu", "cores", "python", "numpy"}

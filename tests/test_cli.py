@@ -255,6 +255,17 @@ class TestMae:
         assert code == 0
         assert json.loads(out)["footrule"] == 2
 
+    def test_table_files_with_a_bom_are_accepted(self, capsys, tmp_path):
+        bom = b"\xef\xbb\xbf"
+        pred = tmp_path / "pred.json"
+        actual = tmp_path / "actual.csv"
+        pred.write_bytes(bom + json.dumps(["B", "A", "C"]).encode())
+        actual.write_bytes(bom + b"position,team\n1,A\n2,B\n3,C\n")
+        code, out, _ = run(capsys, "mae", "--pred", str(pred), "--actual", str(actual), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["footrule"] == 2
+        assert read_table_file(actual) == ["A", "B", "C"]
+
 
 class TestR2:
     def test_flat_fixture_curves(self, capsys, flat_file):
@@ -294,6 +305,14 @@ class TestR2:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {big}: line 6: field larger than field limit")
+
+    def test_blank_team_name_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(DRAWISH_SEASON_CSV + "drawish,3,A,,1,0\n", encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: line 6: away_team must not be blank\n"
 
 
 class TestPredict:

@@ -109,6 +109,95 @@ class TestParsing:
         assert dataset.matches[0] == MatchRecord("S", 1, "A", "B", 2, 0)
 
 
+LIMIT = "2147483647"
+
+# (rows after the header, the full message); every row-level error is found
+# before any season or duplicate error, whatever the order of the lines
+REJECTIONS = [
+    ("S,x,A,B,1,0\n", "line 2: round must be an integer, got 'x'"),
+    ("S,1,A,B,2.0,0\n", "line 2: home_goals must be an integer, got '2.0'"),
+    ("S,1,A,B,0,\n", "line 2: away_goals must be an integer, got ''"),
+    ("S,1,A,B,x,y\n", "line 2: home_goals must be an integer, got 'x'"),
+    ("S,r,A,B,x,y\n", "line 2: round must be an integer, got 'r'"),
+    ("S,1,A,B,0,y\nS,r,C,D,0,0\n", "line 2: away_goals must be an integer, got 'y'"),
+    ("S,0,A,B,2,0\n", f"line 2: round must be in 1..{LIMIT}, got 0"),
+    ("S,2147483648,A,B,2,0\n", f"line 2: round must be in 1..{LIMIT}, got 2147483648"),
+    ("S,1,A,B,-1,0\n", f"line 2: goals must be in 0..{LIMIT}, got -1"),
+    ("S,1,A,B,0,-3\n", f"line 2: goals must be in 0..{LIMIT}, got -3"),
+    ("S,-1,A,B,-1,0\n", f"line 2: round must be in 1..{LIMIT}, got -1"),
+    ("S,1,A,A,2,0\n", "line 2: 'A' cannot play itself"),
+    ("S,1,A,B,2\n", "line 2: expected 6 fields, got 5"),
+    ("S,1,A,B,2,0,0\n", "line 2: expected 6 fields, got 7"),
+    ("S,1,A,B,2,0\nS,1,A,C,1,1\n", "line 3: team 'A' appears twice in round 1"),
+    ("S,1,A,B,2,0\nS,1,C,B,1,1\n", "line 3: team 'B' appears twice in round 1"),
+    ("S,1,A,B,2,0\nS,1,B,A,1,1\n", "line 3: team 'B' appears twice in round 1"),
+    ("S,1,A,B,2,0\n\nS,2,C,D,0,0\nS,2,D,E,1,1\n", "line 5: team 'D' appears twice in round 2"),
+    ("S1,1,A,B,2,0\nS2,2,A,B,0,0\n", "line 3: mixed season ids 'S1' and 'S2'"),
+    ("S1,1,A,B,2,0\nS1,1,A,C,0,0\nS2,2,A,B,0,0\n", "line 3: team 'A' appears twice in round 1"),
+    ("S1,1,A,B,2,0\nS2,2,A,B,0,0\nS1,1,A,C,0,0\n", "line 3: mixed season ids 'S1' and 'S2'"),
+    ("S,1,A,B,2,0\nS,1,A,C,1,1\nS,2,A,B,x,0\n", "line 4: home_goals must be an integer, got 'x'"),
+    ("S1,1,A,B,2,0\nS2,2,A,B,0,0\nS1,3,A,A,0,0\n", "line 4: 'A' cannot play itself"),
+]
+
+
+class TestRejections:
+    @pytest.mark.parametrize(("rows", "message"), REJECTIONS)
+    def test_full_message(self, rows, message):
+        with pytest.raises(MatchFileError) as info:
+            parse_text(HEADER + rows)
+        assert str(info.value) == message
+
+    def test_first_bad_field_wins_whatever_the_column_order(self):
+        text = "away_goals,home_goals,round,season,home_team,away_team\ny,x,r,S,A,B\n"
+        with pytest.raises(MatchFileError) as info:
+            parse_text(text)
+        assert str(info.value) == "line 2: round must be an integer, got 'r'"
+        with pytest.raises(MatchFileError) as info:
+            parse_text(text.replace(",r,", ",1,"))
+        assert str(info.value) == "line 2: home_goals must be an integer, got 'x'"
+
+    @pytest.mark.parametrize(
+        ("row", "field"),
+        [(" ,1,A,B,1,0", "season"), ("S,1,,B,1,0", "home_team"), ("S,1,A,  ,1,0", "away_team")],
+    )
+    def test_blank_names_are_refused(self, row, field):
+        with pytest.raises(MatchFileError) as info:
+            parse_text(HEADER + "S,1,C,D,0,0\n" + row + "\n")
+        assert str(info.value) == f"line 3: {field} must not be blank"
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ("S", 0, "A", "B", 0, 0),
+            ("S", 2**31, "A", "B", 0, 0),
+            ("S", 1, "A", "B", -1, 0),
+            ("S", 1, "A", "B", 0, 2**31),
+            ("S", 1, "A", "A", 0, 0),
+            ("", 1, "A", "B", 0, 0),
+            ("S", 1, " ", "B", 0, 0),
+            ("S", 1, "A", "", 0, 0),
+        ],
+    )
+    def test_records_in_code_get_the_parser_message(self, values):
+        with pytest.raises(ValueError) as in_code:
+            MatchRecord(*values)
+        with pytest.raises(MatchFileError) as parsed:
+            parse_text(HEADER + ",".join(map(str, values)) + "\n")
+        assert str(parsed.value) == f"line 2: {in_code.value}"
+
+    def test_leading_bom_is_dropped(self, tmp_path):
+        path = tmp_path / "matches.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (HEADER + "S,1,A,B,2,0\n").encode())
+        assert parse_matches(path) == parse_text(HEADER + "S,1,A,B,2,0\n")
+
+    def test_bom_keeps_the_line_of_a_later_decode_error(self, tmp_path):
+        path = tmp_path / "matches.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + HEADER.encode() + b"S,1,A,B,2,0\nS,2,\xff,B,0,0\n")
+        with pytest.raises(MatchFileError) as info:
+            parse_matches(path)
+        assert str(info.value) == f"{path}: line 3: not valid utf-8: invalid start byte"
+
+
 class TestStandings:
     def test_single_decisive_match(self):
         dataset = parse_text(HEADER + "S,1,A,B,2,0\n")

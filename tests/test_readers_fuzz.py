@@ -1,13 +1,23 @@
 """Arbitrary input to the two file readers: a result or a ValueError, never
-another exception (the CLI maps ValueError to exit 2)."""
+another exception (the CLI maps ValueError to exit 2). Valid match files
+parse into the dataset that the same records built in code give."""
 
+import csv
 import io
+from dataclasses import FrozenInstanceError
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tableguess.cli import read_table_file
-from tableguess.league import MATCH_FIELDS, SeasonDataset, parse_matches
+from tableguess.league import (
+    MATCH_FIELDS,
+    MatchRecord,
+    SeasonDataset,
+    build_dataset,
+    parse_matches,
+)
 
 MATCH_HEADER = ",".join(MATCH_FIELDS) + "\n"
 PREFIXES = (
@@ -52,3 +62,47 @@ def test_read_table_file_accepts_or_raises_value_error(tmp_path, content):
         return
     assert len(set(teams)) == len(teams) >= 2
     assert all(isinstance(team, str) for team in teams)
+
+
+NAMES = st.text("ABCxyz 9.'", min_size=1, max_size=6).map(str.strip).filter(bool)
+GOALS = st.one_of(st.integers(0, 9), st.integers(0, 2**31 - 1))
+PADDING = st.text(" ", max_size=2)
+
+
+@st.composite
+def match_files(draw) -> tuple[str, list[tuple]]:
+    """A valid match file with padded fields, its columns in any order and
+    some rounds out of order or only partly played, and its rows in order."""
+    season = draw(NAMES)
+    teams = draw(st.lists(NAMES, min_size=2, max_size=8, unique=True))
+    numbers = draw(st.lists(st.integers(1, 2**31 - 1), min_size=1, max_size=6, unique=True))
+    rows = []
+    for rnd in numbers:
+        playing = draw(st.permutations(teams))
+        for i in range(draw(st.integers(1, len(teams) // 2))):
+            home, away = playing[2 * i], playing[2 * i + 1]
+            rows.append((season, rnd, home, away, draw(GOALS), draw(GOALS)))
+    rows = draw(st.permutations(rows))
+    columns = draw(st.permutations(range(len(MATCH_FIELDS))))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow([MATCH_FIELDS[c] for c in columns])
+    for row in rows:
+        writer.writerow([draw(PADDING) + str(row[c]) + draw(PADDING) for c in columns])
+    return buffer.getvalue(), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(match_files())
+def test_parsed_file_equals_records_built_in_code(case):
+    text, rows = case
+    parsed = parse_matches(io.StringIO(text, newline=""))
+    built = build_dataset(MatchRecord(*row) for row in rows)
+    assert parsed == built
+    assert vars(parsed._frame) == vars(built._frame)
+    for got, want in zip(parsed.matches, built.matches, strict=True):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        with pytest.raises(FrozenInstanceError):
+            got.round = want.round

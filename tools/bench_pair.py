@@ -1,0 +1,175 @@
+"""Benchmark a change against a parent revision and write ``BENCH_<label>.json``.
+
+  python3 tools/bench_pair.py --parent REV --workload NAME --label LABEL
+      [--pairs 10] [--trace-pairs 0]
+
+The parent revision's committed files are exported with ``git archive``
+into a temporary directory, removed afterwards; the change is the working
+tree. Each side writes its bytecode to its own fresh cache there, so
+neither starts from compiled files the other lacks. Each pair runs ``perfbench/run.py`` once on each side, for
+BENCHMARK.json's ``run_seconds``, with the same fresh seed, and alternates
+which side runs first; ``--trace-pairs`` more pairs run with ``--trace 1``
+for the per-layer metrics. Runs go one at a time. The file records the
+machine, the seeds, every result line and, per metric, each side's median
+and quartiles and the pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import secrets
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from importlib import metadata
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def machine() -> dict:
+    """CPU model, cores, and the Python and numpy versions."""
+    cpu = platform.processor() or platform.machine()
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    try:
+        numpy = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy = None
+    return {
+        "cpu": cpu,
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy,
+    }
+
+
+def export(rev: str, target: Path) -> str:
+    """Write the committed files of ``rev`` under ``target``; return its full id."""
+    sha = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True).stdout
+    target.mkdir()
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(target, filter="data")
+    return sha
+
+
+def run_once(checkout: Path, env: dict, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One ``perfbench/run.py`` run in ``checkout``; its last stdout line, parsed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"run.py in {checkout} exited {proc.returncode}: {proc.stderr[-800:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per trace mode and metric, over the pairs with both sides present:
+    each side's median and quartiles, and the pairs the change won and lost.
+    ``better`` maps a metric to "lower" or "higher"; wins are counted only
+    for the metrics it names, and ties count for neither side."""
+    pairs: dict[tuple[int, int], dict[str, dict]] = {}
+    for run in runs:
+        pairs.setdefault((run["trace"], run["pair"]), {})[run["side"]] = run["result"]["metrics"]
+    values: dict[str, dict[str, list[tuple[float, float]]]] = {}
+    units: dict[str, str] = {}
+    for (trace, _), sides in sorted(pairs.items()):
+        if set(sides) != set(SIDES):
+            continue
+        parent, change = sides["parent"], sides["change"]
+        for name in parent.keys() & change.keys():
+            units[name] = parent[name]["unit"]
+            values.setdefault(f"trace{trace}", {}).setdefault(name, []).append(
+                (parent[name]["value"], change[name]["value"])
+            )
+    summary: dict[str, dict] = {}
+    for mode, metrics in values.items():
+        for name, paired in sorted(metrics.items()):
+            entry: dict = {"unit": units[name], "pairs": len(paired)}
+            for side, column in zip(SIDES, zip(*paired)):
+                entry[side] = _spread(list(column))
+            sign = {"lower": -1, "higher": 1}.get(better.get(name, ""))
+            if sign is not None:
+                entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in paired)
+                entry["change_losses"] = sum(sign * (c - p) < 0 for p, c in paired)
+            summary.setdefault(mode, {})[name] = entry
+    return summary
+
+
+def _spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--trace-pairs", type=int, default=0)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+    first = secrets.randbelow(10**6)
+    plan = [(0, i) for i in range(args.pairs)] + [(1, i) for i in range(args.trace_pairs)]
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        parent_dir = Path(tmp) / "parent"
+        sha = export(args.parent, parent_dir)
+        checkouts = {"parent": parent_dir, "change": ROOT}
+        envs = {}
+        for side in SIDES:
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+            envs[side] = {**env, "PYTHONPYCACHEPREFIX": str(Path(tmp) / f"pycache-{side}")}
+        for trace, pair in plan:
+            seed = first + pair
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                result = run_once(checkouts[side], envs[side], args.workload, seed, seconds, trace)
+                runs.append({"trace": trace, "pair": pair, "seed": seed, "side": side, "result": result})
+                print(f"trace {trace} pair {pair} seed {seed} {side}: correct {result['correct']}", file=sys.stderr)
+    head, status = (
+        subprocess.run(["git", *command], cwd=ROOT, check=True, capture_output=True, text=True).stdout
+        for command in (["rev-parse", "HEAD"], ["status", "--porcelain"])
+    )
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    report = {
+        "label": args.label,
+        "workload": args.workload,
+        "seconds": seconds,
+        "parent": {"rev": args.parent, "commit": sha},
+        "change": {"head": head.strip(), "uncommitted_changes": bool(status.strip())},
+        "machine": machine(),
+        "seeds": sorted({run["seed"] for run in runs}),
+        "runs": runs,
+        "summary": summarize(runs, better),
+    }
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,9 @@
-"""Command-line front end.
+"""Command-line front end, and the only module that renders output.
 
 Subcommands: ``stats``, ``verify``, ``mae``, ``r2``, ``predict``,
-``evaluate``. Exit codes are a stable contract: 0 success, 1 verification
-failure, 2 usage or input error.
+``evaluate``. Every data command writes through ``_write``: a JSON object,
+or CSV records under a header of their keys. Exit codes are a stable
+contract: 0 success, 1 verification failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from . import league, permstats, predictor, regression
 
@@ -32,13 +33,55 @@ def _out(path: str | None) -> Iterator[IO[str]]:
             yield fh
 
 
-def _emit_json(obj, fh: IO[str]) -> None:
-    json.dump(obj, fh, indent=2)
-    fh.write("\n")
+def _write(args: argparse.Namespace, obj, records: list[dict]) -> None:
+    """Write ``obj`` as JSON, or ``records`` as CSV with their keys as the
+    header, to ``--output`` or stdout. ``csv`` writes a float as its
+    ``repr`` and None as an empty cell."""
+    with _out(args.output) as fh:
+        if args.format == "json":
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(records[0].keys())
+            writer.writerows(record.values() for record in records)
 
 
 def _exact(value: Fraction) -> dict:
     return {"exact": str(value), "decimal": float(value)}
+
+
+def report_records(report: predictor.ForecastReport) -> list[dict]:
+    return [
+        {
+            "season": report.season,
+            "round": rec.round,
+            "strategy": rec.strategy,
+            "mae": float(rec.mae),
+            "mse": float(rec.mse),
+        }
+        for rec in report.records
+    ]
+
+
+def report_summary(report: predictor.ForecastReport) -> dict:
+    """The JSON summary object: baseline stats plus threshold/crossover info."""
+    return {
+        "season": report.season,
+        "n": report.n,
+        "baseline_expected_mae": _exact(report.baseline_expected_mae),
+        "baseline_fraction": report.baseline_fraction,
+        "threshold_rounds": dict(report.threshold_rounds),
+        "gd_better_rounds": list(report.gd_better_rounds),
+    }
+
+
+def curve_records(curves: Iterable[regression.R2Curve]) -> list[dict]:
+    return [
+        {"season": c.season, "kind": c.kind, "round": rnd, "r_squared": value}
+        for c in curves
+        for rnd, value in c.points
+    ]
 
 
 def read_table_file(path: str | Path) -> list[str]:
@@ -96,39 +139,19 @@ def _table_teams(text: str) -> list[str]:
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.n > permstats.STATS_MAX_N:
         raise ValueError(f"--n must be at most {permstats.STATS_MAX_N}, got {args.n}")
-    stats = permstats.score_stats(args.n)
-    fields: list[tuple[str, object]] = [
-        ("n", stats.n),
-        ("expected_score", stats.expected_score),
-        ("expected_mae", stats.expected_mae),
-        ("variance_score", stats.variance_score),
-        ("variance_mae", stats.variance_mae),
-        ("max_score", stats.max_score),
-        ("max_mae", stats.max_mae),
-        ("worst_count", stats.worst_count),
-        ("worst_probability", stats.worst_probability),
-        ("correct_probability", stats.correct_probability),
-        ("generalized", stats.generalized),
-    ]
-    with _out(args.output) as fh:
-        if args.format == "json":
-            obj = {}
-            for name, value in fields:
-                if isinstance(value, Fraction):
-                    obj[name] = _exact(value)
-                else:
-                    obj[name] = value
-            _emit_json(obj, fh)
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["field", "exact", "decimal"])
-            for name, value in fields:
-                if isinstance(value, Fraction):
-                    writer.writerow([name, str(value), repr(float(value))])
-                elif isinstance(value, bool):
-                    writer.writerow([name, str(value).lower(), str(value).lower()])
-                else:
-                    writer.writerow([name, value, value])
+    # ScoreStats's fields, in the printed order
+    stats = vars(permstats.score_stats(args.n))
+    obj = {
+        name: _exact(value) if isinstance(value, Fraction) else value
+        for name, value in stats.items()
+    }
+    records = []
+    for name, value in obj.items():
+        if not isinstance(value, dict):
+            # an int, or a bool spelled as in JSON, fills both columns
+            value = dict.fromkeys(("exact", "decimal"), json.dumps(value))
+        records.append({"field": name, **value})
+    _write(args, obj, records)
     return 0
 
 
@@ -236,38 +259,24 @@ def _cmd_mae(args: argparse.Namespace) -> int:
         "mae": float(permstats.mae(ranking)),
         "mse": float(permstats.mse(ranking)),
     }
-    with _out(args.output) as fh:
-        if args.format == "json":
-            _emit_json(payload, fh)
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["footrule", "mae", "mse"])
-            writer.writerow(
-                [payload["footrule"], repr(payload["mae"]), repr(payload["mse"])]
-            )
+    _write(args, payload, [payload])
     return 0
 
 
 def _cmd_r2(args: argparse.Namespace) -> int:
     dataset = league.parse_matches(args.matches)
     curves = [regression.r2_curve(dataset, kind) for kind in regression.CURVE_KINDS]
-    thresholds = None
+    records = curve_records(curves)
+    obj: dict = {"records": records}
     if args.threshold is not None:
-        thresholds = {
+        obj["threshold"] = args.threshold
+        obj["threshold_rounds"] = {
             curve.kind: regression.threshold_round(curve, args.threshold)
             for curve in curves
         }
-    with _out(args.output) as fh:
-        if args.format == "json":
-            obj: dict = {"records": regression.curve_records(curves)}
-            if thresholds is not None:
-                obj["threshold"] = args.threshold
-                obj["threshold_rounds"] = thresholds
-            _emit_json(obj, fh)
-        else:
-            regression.curves_to_csv(curves, fh)
-    if thresholds is not None and args.format == "csv":
-        for kind, rnd in thresholds.items():
+    _write(args, obj, records)
+    if args.threshold is not None and args.format == "csv":
+        for kind, rnd in obj["threshold_rounds"].items():
             where = "never" if rnd is None else f"round {rnd}"
             print(f"{kind}: reaches {args.threshold} at {where}", file=sys.stderr)
     return 0
@@ -281,14 +290,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         order = predictor.predicted_order_by_gd(table)
     else:
         order = predictor.predicted_order_by_rank(table)
-    with _out(args.output) as fh:
-        if args.format == "json":
-            _emit_json(list(order), fh)
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TABLE_FIELDS)
-            for position, team in enumerate(order, start=1):
-                writer.writerow([position, team])
+    records = [dict(zip(TABLE_FIELDS, entry)) for entry in enumerate(order, start=1)]
+    _write(args, list(order), records)
     return 0
 
 
@@ -297,20 +300,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = predictor.evaluate_season(
         dataset, baseline_fraction=args.baseline_fraction
     )
-    with _out(args.output) as fh:
-        if args.format == "json":
-            _emit_json(
-                {
-                    "records": predictor.report_records(report),
-                    "summary": predictor.report_summary(report),
-                },
-                fh,
-            )
-        else:
-            predictor.report_to_csv(report, fh)
+    records = report_records(report)
+    summary = report_summary(report)
+    _write(args, {"records": records, "summary": summary}, records)
     if args.summary is not None:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            _emit_json(predictor.report_summary(report), fh)
+        Path(args.summary).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

@@ -31,6 +31,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 from operator import sub
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -95,10 +96,8 @@ class SeasonFrame:
     ``order[k]`` lists team columns in table order and ``places[k]`` gives
     each team's place in it (1-based).
 
-    Points, goal difference and goals for, which order the tables, are
-    tallied when the frame is built. ``gd_places``, which only
-    ``evaluate_season`` reads, and ``results``, the played, won and drawn
-    tallies that only the standings tables show, are built on first use.
+    Every tally is built when the frame is; ``gd_places``, which only
+    ``evaluate_season`` reads, is built on first use.
     """
 
     def __init__(self, teams: Sequence[str], matches: Sequence[MatchRecord]) -> None:
@@ -109,32 +108,37 @@ class SeasonFrame:
                 (column[m.home_team], column[m.away_team], m.home_goals, m.away_goals)
             )
         self.played_rounds = sorted(by_round)
-        # (home column, away column, home goals, away goals) by frame row 1..
-        self._scores = [by_round[rnd] for rnd in self.played_rounds]
-        self._size = len(teams)
-        points, gd, gf = [0] * self._size, [0] * self._size, [0] * self._size
-        self.points, self.gd, self.gf = [points[:]], [gd[:]], [gf[:]]
-        for scores in self._scores:
-            for home, away, home_goals, away_goals in scores:
+        size = len(teams)
+        tally = tuple([0] * size for _ in range(6))
+        played, won, drawn, points, gd, gf = tally
+        rows = tuple([row[:]] for row in tally)
+        self.played, self.won, self.drawn, self.points, self.gd, self.gf = rows
+        for rnd in self.played_rounds:
+            for home, away, home_goals, away_goals in by_round[rnd]:
+                played[home] += 1
+                played[away] += 1
                 gf[home] += home_goals
                 gf[away] += away_goals
                 gd[home] += home_goals - away_goals
                 gd[away] += away_goals - home_goals
                 if home_goals > away_goals:
                     points[home] += 3
+                    won[home] += 1
                 elif home_goals < away_goals:
                     points[away] += 3
+                    won[away] += 1
                 else:
                     points[home] += 1
                     points[away] += 1
-            self.points.append(points[:])
-            self.gd.append(gd[:])
-            self.gf.append(gf[:])
+                    drawn[home] += 1
+                    drawn[away] += 1
+            for tally_rows, row in zip(rows, tally):
+                tally_rows.append(row[:])
         # sorting by the least significant key first, each sort stable,
         # leaves the name order of the columns as the last tie-break
         self.order = []
         for row_points, row_gd, row_gf in zip(self.points, self.gd, self.gf):
-            order = sorted(range(self._size), key=row_gf.__getitem__, reverse=True)
+            order = sorted(range(size), key=row_gf.__getitem__, reverse=True)
             order.sort(key=row_gd.__getitem__, reverse=True)
             order.sort(key=row_points.__getitem__, reverse=True)
             self.order.append(order)
@@ -154,30 +158,10 @@ class SeasonFrame:
             ]
         )
 
-    @cached_property
-    def results(self) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-        """The played, won and drawn tallies."""
-        played, won, drawn = [0] * self._size, [0] * self._size, [0] * self._size
-        tallies = [played[:]], [won[:]], [drawn[:]]
-        for scores in self._scores:
-            for home, away, home_goals, away_goals in scores:
-                played[home] += 1
-                played[away] += 1
-                if home_goals > away_goals:
-                    won[home] += 1
-                elif home_goals < away_goals:
-                    won[away] += 1
-                else:
-                    drawn[home] += 1
-                    drawn[away] += 1
-            for rows, row in zip(tallies, (played, won, drawn)):
-                rows.append(row[:])
-        return tallies
-
     def counts(self, k: int) -> list[tuple[int, ...]]:
         """Each team's played, won, drawn, lost, goals for and against, goal
         difference and points at row ``k``, in column order."""
-        played, won, drawn = (tally[k] for tally in self.results)
+        played, won, drawn = self.played[k], self.won[k], self.drawn[k]
         gf, gd = self.gf[k], self.gd[k]
         lost = map(sub, map(sub, played, won), drawn)
         return list(zip(played, won, drawn, lost, gf, map(sub, gf, gd), gd, self.points[k]))
@@ -299,7 +283,11 @@ def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
             return parse_matches(io.StringIO(read_text(source), newline=""))
         except ValueError as exc:
             raise MatchFileError(f"{source}: {exc}") from None
-    reader = csv.reader(source)
+    lines = iter(source)
+    # drop a leading byte order mark as read_text does for a path, so that
+    # a stream holding only the mark reads as empty too
+    first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
+    reader = csv.reader(chain(filter(None, first), lines))
     try:
         return _read_matches(reader)
     except csv.Error as exc:

@@ -9,11 +9,11 @@ baked in.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
-from typing import IO, Sequence
+from typing import Sequence
 
 from . import permstats
 from .league import SeasonDataset, StandingsTable
@@ -22,7 +22,6 @@ from .permstats import Ranking
 STRATEGY_RANK = "rank"
 STRATEGY_GD = "gd"
 STRATEGIES = (STRATEGY_RANK, STRATEGY_GD)
-REPORT_FIELDS = ("season", "round", "strategy", "mae", "mse")
 
 
 def predicted_order_by_rank(table: StandingsTable) -> tuple[str, ...]:
@@ -86,6 +85,8 @@ def evaluate_season(
     """Score both strategies at every round against the final table."""
     if not 0.0 < baseline_fraction:
         raise ValueError(f"baseline fraction must be positive, got {baseline_fraction}")
+    if not math.isfinite(baseline_fraction):
+        raise ValueError(f"baseline fraction must be finite, got {baseline_fraction}")
     frame = dataset._frame
     n = len(dataset.teams)
     baseline = permstats.score_stats(n).expected_mae
@@ -135,39 +136,3 @@ def evaluate_season(
         gd_better_rounds=tuple(gd_better),
     )
 
-
-def report_records(report: ForecastReport) -> list[dict]:
-    return [
-        {
-            "season": report.season,
-            "round": rec.round,
-            "strategy": rec.strategy,
-            "mae": float(rec.mae),
-            "mse": float(rec.mse),
-        }
-        for rec in report.records
-    ]
-
-
-def report_summary(report: ForecastReport) -> dict:
-    """The JSON summary object: baseline stats plus threshold/crossover info."""
-    return {
-        "season": report.season,
-        "n": report.n,
-        "baseline_expected_mae": {
-            "exact": str(report.baseline_expected_mae),
-            "decimal": float(report.baseline_expected_mae),
-        },
-        "baseline_fraction": report.baseline_fraction,
-        "threshold_rounds": dict(report.threshold_rounds),
-        "gd_better_rounds": list(report.gd_better_rounds),
-    }
-
-
-def report_to_csv(report: ForecastReport, fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(REPORT_FIELDS)
-    for rec in report_records(report):
-        writer.writerow(
-            [rec["season"], rec["round"], rec["strategy"], repr(rec["mae"]), repr(rec["mse"])]
-        )

@@ -9,17 +9,15 @@ number.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from operator import index, mul
-from typing import IO, Iterable
+from typing import Iterable
 
 from .league import SeasonDataset
 
 KIND_TABLE_RANK = "table_rank"
 KIND_GOAL_DIFFERENCE = "goal_difference"
 CURVE_KINDS = (KIND_TABLE_RANK, KIND_GOAL_DIFFERENCE)
-CURVE_FIELDS = ("season", "kind", "round", "r_squared")
 
 
 class DegeneratePredictorError(ValueError):
@@ -137,20 +135,3 @@ def threshold_round(curve: R2Curve, threshold: float) -> int | None:
             return rnd
     return None
 
-
-def curve_records(curves: Iterable[R2Curve]) -> list[dict]:
-    return [
-        {"season": c.season, "kind": c.kind, "round": rnd, "r_squared": value}
-        for c in curves
-        for rnd, value in c.points
-    ]
-
-
-def curves_to_csv(curves: Iterable[R2Curve], fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CURVE_FIELDS)
-    for rec in curve_records(curves):
-        value = rec["r_squared"]
-        writer.writerow(
-            [rec["season"], rec["kind"], rec["round"], "" if value is None else repr(value)]
-        )

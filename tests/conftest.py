@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from tableguess import _kernels, league, predictor, regression
+from tableguess import _kernels, league
 from tableguess.bundled import (
     MERSON_PREDICTION,
     PL_FINAL,
@@ -58,15 +58,17 @@ def read_records(text: str, fields: tuple[str, ...], **convert) -> list[dict]:
 
 
 def report_rows(text: str) -> list[dict]:
-    """``evaluate`` CSV output as the dicts of ``predictor.report_records``."""
-    return read_records(text, predictor.REPORT_FIELDS, round=int, mae=float, mse=float)
+    """``evaluate`` CSV output as the dicts of ``cli.report_records``."""
+    return read_records(
+        text, ("season", "round", "strategy", "mae", "mse"), round=int, mae=float, mse=float
+    )
 
 
 def curve_rows(text: str) -> list[dict]:
-    """``r2`` CSV output as the dicts of ``regression.curve_records``."""
+    """``r2`` CSV output as the dicts of ``cli.curve_records``."""
     return read_records(
         text,
-        regression.CURVE_FIELDS,
+        ("season", "kind", "round", "r_squared"),
         round=int,
         r_squared=lambda v: float(v) if v else None,
     )

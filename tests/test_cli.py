@@ -285,14 +285,17 @@ class TestR2:
         assert code == 0
         assert "table_rank: reaches 0.8 at round 1" in err
 
-    def test_json_matches_csv_records(self, capsys, synthetic_path):
-        code, out_csv, _ = run(capsys, "r2", synthetic_path)
-        assert code == 0
-        code, out_json, _ = run(capsys, "r2", synthetic_path, "--format", "json", "--threshold", "0.8")
-        assert code == 0
-        payload = json.loads(out_json)
-        assert payload["records"] == curve_rows(out_csv)
-        assert set(payload["threshold_rounds"]) == {"table_rank", "goal_difference"}
+    def test_json_matches_csv_records(self, capsys, synthetic_path, drawish_file):
+        # the drawish file's undefined round reads null in JSON and empty in CSV
+        for path in (synthetic_path, drawish_file):
+            code, out_csv, _ = run(capsys, "r2", path)
+            assert code == 0
+            code, out_json, _ = run(capsys, "r2", path, "--format", "json", "--threshold", "0.8")
+            assert code == 0
+            payload = json.loads(out_json)
+            assert payload["records"] == curve_rows(out_csv)
+            assert set(payload["threshold_rounds"]) == {"table_rank", "goal_difference"}
+        assert None in (record["r_squared"] for record in payload["records"])
 
     def test_missing_matches_file(self, capsys):
         code, _, err = run(capsys, "r2", "/no/such/matches.csv")
@@ -386,6 +389,13 @@ class TestEvaluate:
         _, first, _ = run(capsys, "evaluate", synthetic_path)
         _, second, _ = run(capsys, "evaluate", synthetic_path)
         assert first == second
+
+    @pytest.mark.parametrize("fraction", ["inf", "1e309"])
+    def test_non_finite_baseline_fraction_exits_two(self, capsys, synthetic_path, fraction):
+        code, out, err = run(capsys, "evaluate", synthetic_path, "--baseline-fraction", fraction)
+        assert code == 2
+        assert out == ""
+        assert err == "error: baseline fraction must be finite, got inf\n"
 
 
 class TestTableFiles:

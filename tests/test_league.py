@@ -190,6 +190,10 @@ class TestRejections:
         path.write_bytes(b"\xef\xbb\xbf" + (HEADER + "S,1,A,B,2,0\n").encode())
         assert parse_matches(path) == parse_text(HEADER + "S,1,A,B,2,0\n")
 
+    def test_leading_bom_is_dropped_from_a_text_stream(self):
+        text = HEADER + "S,1,A,B,2,0\n"
+        assert parse_matches(io.StringIO("\ufeff" + text)) == parse_text(text)
+
     def test_bom_keeps_the_line_of_a_later_decode_error(self, tmp_path):
         path = tmp_path / "matches.csv"
         path.write_bytes(b"\xef\xbb\xbf" + HEADER.encode() + b"S,1,A,B,2,0\nS,2,\xff,B,0,0\n")

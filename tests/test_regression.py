@@ -13,13 +13,10 @@ from tableguess.regression import (
     KIND_TABLE_RANK,
     DegeneratePredictorError,
     R2Curve,
-    curve_records,
-    curves_to_csv,
     r2_curve,
     simple_ols,
     threshold_round,
 )
-from conftest import curve_rows
 
 IDENTITY_TOL = 1e-12
 
@@ -218,20 +215,3 @@ class TestThresholdRound:
         with pytest.raises(ValueError):
             threshold_round(curve, 1.5)
 
-
-class TestCurveSerialisation:
-    def test_round_trip(self, synthetic_dataset, drawish_dataset):
-        curves = [
-            r2_curve(synthetic_dataset, KIND_TABLE_RANK),
-            r2_curve(drawish_dataset, KIND_GOAL_DIFFERENCE),
-        ]
-        buffer = io.StringIO()
-        curves_to_csv(curves, buffer)
-        parsed = curve_rows(buffer.getvalue())
-        assert parsed == curve_records(curves)
-
-    def test_undefined_serialises_to_empty_cell(self, drawish_dataset):
-        buffer = io.StringIO()
-        curves_to_csv([r2_curve(drawish_dataset, KIND_GOAL_DIFFERENCE)], buffer)
-        first_row = buffer.getvalue().splitlines()[1]
-        assert first_row == "drawish,goal_difference,1,"

@@ -1,88 +1,80 @@
 """Footrule metrics, exact random-guess statistics, and parsimonious
-forecasts for football league tables."""
+forecasts for football league tables.
 
-from .league import (
-    MatchFileError,
-    MatchRecord,
-    SeasonDataset,
-    StandingsRow,
-    StandingsTable,
-    final_standings,
-    parse_matches,
-    standings_at_round,
-    standings_series,
-    synthetic_season,
-)
-from .permstats import (
-    DimensionMismatchError,
-    MonteCarloSummary,
-    OracleCapError,
-    Ranking,
-    ScoreDistribution,
-    ScoreStats,
-    brute_force_distribution,
-    distribution_moments,
-    footrule_score,
-    identity,
-    mae,
-    monte_carlo_mae,
-    mse,
-    ranking_from_orders,
-    reversal,
-    score_stats,
-)
-from .predictor import (
-    ForecastReport,
-    evaluate_season,
-    predict_by_gd,
-    predict_by_rank,
-)
-from .regression import (
-    DegeneratePredictorError,
-    OlsFit,
-    R2Curve,
-    r2_curve,
-    simple_ols,
-    threshold_round,
-)
+The public names load on first use (PEP 562), so ``import tableguess``
+loads no submodule and each CLI command imports only what it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DegeneratePredictorError",
-    "DimensionMismatchError",
-    "ForecastReport",
-    "MatchFileError",
-    "MatchRecord",
-    "MonteCarloSummary",
-    "OlsFit",
-    "OracleCapError",
-    "R2Curve",
-    "Ranking",
-    "ScoreDistribution",
-    "ScoreStats",
-    "SeasonDataset",
-    "StandingsRow",
-    "StandingsTable",
-    "brute_force_distribution",
-    "distribution_moments",
-    "evaluate_season",
-    "final_standings",
-    "footrule_score",
-    "identity",
-    "mae",
-    "monte_carlo_mae",
-    "mse",
-    "parse_matches",
-    "predict_by_gd",
-    "predict_by_rank",
-    "r2_curve",
-    "ranking_from_orders",
-    "reversal",
-    "score_stats",
-    "simple_ols",
-    "standings_at_round",
-    "standings_series",
-    "synthetic_season",
-    "threshold_round",
-]
+# The forecast strategies' names. They live here, not in ``predictor``, so
+# that the CLI can offer them without importing it.
+STRATEGY_RANK = "rank"
+STRATEGY_GD = "gd"
+STRATEGIES = (STRATEGY_RANK, STRATEGY_GD)
+
+_EXPORTS = {
+    "league": (
+        "MatchFileError",
+        "MatchRecord",
+        "SeasonDataset",
+        "StandingsRow",
+        "StandingsTable",
+        "final_standings",
+        "parse_matches",
+        "standings_at_round",
+        "standings_series",
+        "synthetic_season",
+    ),
+    "permstats": (
+        "DimensionMismatchError",
+        "MonteCarloSummary",
+        "OracleCapError",
+        "Ranking",
+        "ScoreDistribution",
+        "ScoreStats",
+        "brute_force_distribution",
+        "distribution_moments",
+        "footrule_score",
+        "identity",
+        "mae",
+        "monte_carlo_mae",
+        "mse",
+        "ranking_from_orders",
+        "reversal",
+        "score_stats",
+    ),
+    "predictor": (
+        "ForecastReport",
+        "evaluate_season",
+        "predict_by_gd",
+        "predict_by_rank",
+    ),
+    "regression": (
+        "DegeneratePredictorError",
+        "OlsFit",
+        "R2Curve",
+        "r2_curve",
+        "simple_ols",
+        "threshold_round",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -17,9 +17,14 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from . import league, permstats, predictor, regression
+# league, predictor and regression are imported by the commands that use
+# them, so that each command loads only what it runs
+from . import STRATEGIES, STRATEGY_RANK, permstats
+
+if TYPE_CHECKING:
+    from . import predictor, regression
 
 TABLE_FIELDS = ("position", "team")
 
@@ -90,6 +95,8 @@ def read_table_file(path: str | Path) -> list[str]:
     Returns the team names in table order (position 1 first). Errors name
     the file, and the line when there is one.
     """
+    from . import league
+
     try:
         return _table_teams(league.read_text(path))
     # json raises RecursionError on deeply nested arrays
@@ -253,7 +260,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_mae(args: argparse.Namespace) -> int:
     actual_order = read_table_file(args.actual)
     predicted_order = read_table_file(args.pred)
-    ranking = permstats.ranking_from_orders(actual_order, predicted_order)
+    try:
+        ranking = permstats.ranking_from_orders(actual_order, predicted_order)
+    except ValueError as exc:
+        raise ValueError(f"--actual {args.actual}, --pred {args.pred}: {exc}") from None
     payload = {
         "footrule": permstats.footrule_score(ranking),
         "mae": float(permstats.mae(ranking)),
@@ -264,6 +274,8 @@ def _cmd_mae(args: argparse.Namespace) -> int:
 
 
 def _cmd_r2(args: argparse.Namespace) -> int:
+    from . import league, regression
+
     dataset = league.parse_matches(args.matches)
     curves = [regression.r2_curve(dataset, kind) for kind in regression.CURVE_KINDS]
     records = curve_records(curves)
@@ -277,12 +289,17 @@ def _cmd_r2(args: argparse.Namespace) -> int:
     _write(args, obj, records)
     if args.threshold is not None and args.format == "csv":
         for kind, rnd in obj["threshold_rounds"].items():
-            where = "never" if rnd is None else f"round {rnd}"
-            print(f"{kind}: reaches {args.threshold} at {where}", file=sys.stderr)
+            if rnd is None:
+                line = f"{kind}: never reaches {args.threshold}"
+            else:
+                line = f"{kind}: reaches {args.threshold} at round {rnd}"
+            print(line, file=sys.stderr)
     return 0
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from . import league, predictor
+
     dataset = league.parse_matches(args.matches)
     rnd = dataset.rounds if args.round is None else args.round
     table = league.standings_at_round(dataset, rnd)
@@ -296,6 +313,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import league, predictor
+
     dataset = league.parse_matches(args.matches)
     report = predictor.evaluate_season(
         dataset, baseline_fraction=args.baseline_fraction
@@ -358,9 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("matches", help="match CSV file")
     p.add_argument("--round", type=int, help="round to predict from (default: last)")
-    p.add_argument(
-        "--strategy", choices=predictor.STRATEGIES, default=predictor.STRATEGY_RANK
-    )
+    p.add_argument("--strategy", choices=STRATEGIES, default=STRATEGY_RANK)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser(

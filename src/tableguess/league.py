@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import csv
 import io
-import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 from operator import sub
 from pathlib import Path
 from typing import IO, Iterable, Sequence
+
+from ._record import Record
 
 MATCH_FIELDS = ("season", "round", "home_team", "away_team", "home_goals", "away_goals")
 # Rounds and goals must stay below this. The frame's Python ints cannot
@@ -72,8 +72,9 @@ def _check_match(m: MatchRecord) -> None:
     raise ValueError(f"{m.home_team!r} cannot play itself")
 
 
-@dataclass(frozen=True, slots=True)
-class MatchRecord:
+class MatchRecord(Record):
+    # the slots hold the fields, in file-header order
+    __slots__ = MATCH_FIELDS
     season: str
     round: int
     home_team: str
@@ -81,7 +82,18 @@ class MatchRecord:
     home_goals: int
     away_goals: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        season: str,
+        round: int,
+        home_team: str,
+        away_team: str,
+        home_goals: int,
+        away_goals: int,
+    ) -> None:
+        values = (season, round, home_team, away_team, home_goals, away_goals)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         _check_match(self)
 
 
@@ -186,20 +198,21 @@ def _places(orders: list[list[int]]) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class SeasonDataset:
+class SeasonDataset(Record):
+    """One season's matches. Its ``_frame``, the ``SeasonFrame`` tallied
+    from them, is built with it and is not a field."""
+
     season: str
     teams: tuple[str, ...]
     matches: tuple[MatchRecord, ...]
     rounds: int
-    _frame: SeasonFrame = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "_frame", SeasonFrame(self.teams, self.matches))
 
 
-@dataclass(frozen=True)
-class StandingsRow:
+class StandingsRow(Record):
     team: str
     played: int
     won: int
@@ -212,8 +225,7 @@ class StandingsRow:
     rank: int
 
 
-@dataclass(frozen=True)
-class StandingsTable:
+class StandingsTable(Record):
     season: str
     round: int
     rows: tuple[StandingsRow, ...]
@@ -353,7 +365,7 @@ def _read_matches(reader) -> SeasonDataset:
 
 def _tables(dataset: SeasonDataset, rounds: Sequence[int]) -> list[StandingsTable]:
     frame = dataset._frame
-    new, fields = object.__new__, StandingsRow.__dataclass_fields__
+    new, fields = object.__new__, StandingsRow._fields
     tables = []
     for rnd in rounds:
         k = frame.row(rnd)
@@ -396,6 +408,8 @@ def synthetic_season(
     meets twice with home advantage swapped. Odd team counts get a bye per
     round. Goal counts are drawn uniformly from 0..4.
     """
+    import random  # only this library helper draws, so no command loads it
+
     if n_teams < 2:
         raise ValueError(f"need at least 2 teams, got {n_teams}")
     if season is None:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterator, Sequence
+
+from ._record import Record
 
 # Enumeration holds all n! permutations in memory at once, so it stops
 # here; tableguess._kernels.ENUM_MAX_N is the same ceiling.
@@ -36,16 +37,14 @@ class OracleCapError(ValueError):
     """Enumeration was requested beyond ``ORACLE_MAX_N``."""
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(Record):
     """A bijection on 1..n: places[i-1] is the predicted place of the team
     that finished i-th."""
 
     places: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        places = tuple(operator.index(p) for p in self.places)
-        object.__setattr__(self, "places", places)
+    def __init__(self, places: Sequence[int]) -> None:
+        places = tuple(operator.index(p) for p in places)
         n = len(places)
         if n < 2:
             raise ValueError(f"a ranking needs at least 2 entries, got {n}")
@@ -53,6 +52,7 @@ class Ranking:
             raise ValueError(
                 f"places must be a permutation of 1..{n}, got {places}"
             )
+        object.__setattr__(self, "places", places)
 
     @property
     def n(self) -> int:
@@ -138,8 +138,7 @@ def mse(
     return Fraction(sum((x - y) ** 2 for x, y in zip(p.places, a.places)), p.n)
 
 
-@dataclass(frozen=True)
-class ScoreStats:
+class ScoreStats(Record):
     """Exact distributional summary of the score and MAE of a uniformly
     random guess for a league of size n.
 
@@ -195,8 +194,7 @@ def score_stats(n: int) -> ScoreStats:
     )
 
 
-@dataclass(frozen=True)
-class ScoreDistribution:
+class ScoreDistribution(Record):
     """Exact distribution of the footrule score over all n! permutations."""
 
     n: int
@@ -234,8 +232,7 @@ def distribution_moments(
     return mean, second - mean**2, top, dist.counts[top]
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary:
+class MonteCarloSummary(Record):
     """Sample summary of MAE over uniform random guesses.
 
     ``variance`` is the population variance of the sampled MAE values. All

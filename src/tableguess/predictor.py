@@ -10,18 +10,14 @@ baked in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
 from typing import Sequence
 
-from . import permstats
+from . import STRATEGIES, STRATEGY_GD, STRATEGY_RANK, permstats
+from ._record import Record
 from .league import SeasonDataset, StandingsTable
 from .permstats import Ranking
-
-STRATEGY_RANK = "rank"
-STRATEGY_GD = "gd"
-STRATEGIES = (STRATEGY_RANK, STRATEGY_GD)
 
 
 def predicted_order_by_rank(table: StandingsTable) -> tuple[str, ...]:
@@ -53,16 +49,19 @@ def predict_by_gd(table: StandingsTable, final_order: Sequence[str]) -> Ranking:
     return permstats.ranking_from_orders(final_order, predicted_order_by_gd(table))
 
 
-@dataclass(frozen=True)
-class RoundForecast:
+class RoundForecast(Record):
     round: int
     strategy: str
     mae: Fraction
     mse: Fraction
 
+    def __init__(self, round: int, strategy: str, mae: Fraction, mse: Fraction) -> None:
+        # evaluate_season builds one per round and strategy, so this skips
+        # Record's generic argument binding
+        vars(self).update(round=round, strategy=strategy, mae=mae, mse=mse)
 
-@dataclass(frozen=True)
-class ForecastReport:
+
+class ForecastReport(Record):
     """Per-round forecast quality for both strategies over one season.
 
     ``threshold_rounds`` holds, per strategy, the earliest round whose MAE

@@ -9,10 +9,10 @@ number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index, mul
 from typing import Iterable
 
+from ._record import Record
 from .league import SeasonDataset
 
 KIND_TABLE_RANK = "table_rank"
@@ -24,16 +24,14 @@ class DegeneratePredictorError(ValueError):
     """The predictor has zero variance, so no slope can be fitted."""
 
 
-@dataclass(frozen=True)
-class OlsFit:
+class OlsFit(Record):
     beta0: float
     beta1: float
     r_squared: float | None
     n_points: int
 
 
-@dataclass(frozen=True)
-class R2Curve:
+class R2Curve(Record):
     season: str
     kind: str
     points: tuple[tuple[int, float | None], ...]

@@ -194,5 +194,7 @@ def test_c8_real_data_smoke():
     assert all(rec.mae <= score_stats(report.n).max_mae for rec in report.records)
     for kind, curve in curves.items():
         crossing = regression.threshold_round(curve, 0.8)
-        where = "never" if crossing is None else f"round {crossing}"
-        print(f"{kind}: reaches 0.8 at {where}")
+        if crossing is None:
+            print(f"{kind}: never reaches 0.8")
+        else:
+            print(f"{kind}: reaches 0.8 at round {crossing}")

@@ -241,6 +241,27 @@ class TestMae:
         code, _, err = run(capsys, "mae", "--pred", str(short), "--actual", actual)
         assert code == 2
 
+    def test_mismatched_lengths_name_both_files(self, capsys, tmp_path, merson_files):
+        _, actual = merson_files
+        short = tmp_path / "short.csv"
+        short.write_text("position,team\n1,A\n2,B\n", encoding="utf-8")
+        code, out, err = run(capsys, "mae", "--pred", str(short), "--actual", actual)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --actual {actual}, --pred {short}: orders differ in length: 20 vs 2\n"
+        )
+
+    def test_unknown_team_names_both_files(self, capsys, tmp_path):
+        pred = tmp_path / "pred.csv"
+        actual = tmp_path / "actual.json"
+        pred.write_text("position,team\n1,A\n2,B\n", encoding="utf-8")
+        actual.write_text('["A", "C"]', encoding="utf-8")
+        code, out, err = run(capsys, "mae", "--pred", str(pred), "--actual", str(actual))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --actual {actual}, --pred {pred}: label 'C' missing from predicted order\n"
+        )
+
     def test_missing_file(self, capsys, merson_files):
         _, actual = merson_files
         code, _, err = run(capsys, "mae", "--pred", "/no/such/file.csv", "--actual", actual)
@@ -284,6 +305,11 @@ class TestR2:
         code, out, err = run(capsys, "r2", flat_file, "--threshold", "0.8")
         assert code == 0
         assert "table_rank: reaches 0.8 at round 1" in err
+
+    def test_threshold_never_reached(self, capsys, synthetic_path):
+        code, _, err = run(capsys, "r2", synthetic_path, "--threshold", "1")
+        assert code == 0
+        assert err == "table_rank: reaches 1.0 at round 26\ngoal_difference: never reaches 1.0\n"
 
     def test_json_matches_csv_records(self, capsys, synthetic_path, drawish_file):
         # the drawish file's undefined round reads null in JSON and empty in CSV

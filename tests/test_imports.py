@@ -1,11 +1,14 @@
-"""numpy is loaded only by the oracle kernels, so no product command pays
-for importing it."""
+"""numpy is loaded only by the oracle kernels, and each product command
+loads only the tableguess modules it uses, so none pays for importing the
+rest."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tableguess
 from tableguess.bundled import MERSON_PREDICTION, PL_FINAL, SYNTHETIC_SEASON, bundled_path
@@ -63,3 +66,59 @@ def test_the_enumeration_oracle_imports_numpy():
         ["import", 0, False],
         ["verify", 0, True],
     ]
+
+
+# Runs one command, or none, in a fresh interpreter after ``import
+# tableguess`` and prints its exit code and the modules loaded since start.
+LOADED_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+argv = json.loads(sys.argv[1])
+import tableguess
+code = 0
+if argv:
+    from tableguess.cli import main
+    code = main(argv)
+print(json.dumps([code, sorted(set(sys.modules) - before)]), file=sys.stderr)
+"""
+
+# what every command is spared: numpy, and the cost of generating record code
+NEVER = {"numpy", "dataclasses", "inspect"}
+
+
+def loaded_by(argv: list[str]) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(tableguess.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_SCRIPT, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0
+    return set(modules)
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert {m for m in loaded_by([]) if m.startswith("tableguess.")} == set()
+
+
+@pytest.mark.parametrize(
+    "argv, spared",
+    [
+        (
+            ["mae", "--pred", str(bundled_path(MERSON_PREDICTION)), "--actual", str(bundled_path(PL_FINAL))],
+            {"tableguess.predictor", "tableguess.regression"},
+        ),
+        (["stats", "--n", "20"], {"tableguess.league", "tableguess.predictor", "tableguess.regression"}),
+        (["predict", str(bundled_path(SYNTHETIC_SEASON)), "--strategy", "gd"], {"tableguess.regression"}),
+        (["evaluate", str(bundled_path(SYNTHETIC_SEASON))], {"tableguess.regression"}),
+        (["r2", str(bundled_path(SYNTHETIC_SEASON))], {"tableguess.predictor"}),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_each_command_loads_only_what_it_uses(argv, spared):
+    assert loaded_by(argv) & (NEVER | spared) == set()

@@ -106,19 +106,22 @@ def test_importing_the_package_loads_no_submodule():
     assert {m for m in loaded_by([]) if m.startswith("tableguess.")} == set()
 
 
-@pytest.mark.parametrize(
-    "argv, spared",
-    [
-        (
-            ["mae", "--pred", str(bundled_path(MERSON_PREDICTION)), "--actual", str(bundled_path(PL_FINAL))],
-            {"tableguess.predictor", "tableguess.regression"},
-        ),
-        (["stats", "--n", "20"], {"tableguess.league", "tableguess.predictor", "tableguess.regression"}),
-        (["predict", str(bundled_path(SYNTHETIC_SEASON)), "--strategy", "gd"], {"tableguess.regression"}),
-        (["evaluate", str(bundled_path(SYNTHETIC_SEASON))], {"tableguess.regression"}),
-        (["r2", str(bundled_path(SYNTHETIC_SEASON))], {"tableguess.predictor"}),
-    ],
-    ids=lambda value: value[0] if isinstance(value, list) else None,
-)
-def test_each_command_loads_only_what_it_uses(argv, spared):
+SEASON = str(bundled_path(SYNTHETIC_SEASON))
+
+# each product command, and the tableguess modules it has no use for
+SPARED = {
+    "mae": (
+        ["mae", "--pred", str(bundled_path(MERSON_PREDICTION)), "--actual", str(bundled_path(PL_FINAL))],
+        {"tableguess.predictor", "tableguess.regression"},
+    ),
+    "stats": (["stats", "--n", "20"], {"tableguess.league", "tableguess.predictor", "tableguess.regression"}),
+    "predict": (["predict", SEASON, "--strategy", "gd"], {"tableguess.regression"}),
+    "evaluate": (["evaluate", SEASON], {"tableguess.regression"}),
+    "r2": (["r2", SEASON], {"tableguess.predictor"}),
+}
+
+
+@pytest.mark.parametrize("command", SPARED)
+def test_each_command_loads_only_what_it_uses(command):
+    argv, spared = SPARED[command]
     assert loaded_by(argv) & (NEVER | spared) == set()

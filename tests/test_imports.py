@@ -28,11 +28,13 @@ print(json.dumps(report), file=sys.stderr)
 """
 
 
-def run_steps(steps: list[list[str]]) -> list[list]:
+def run_script(script: str, arg) -> list:
+    """Run ``script`` in a fresh interpreter with ``arg`` as JSON; return
+    the JSON it prints last to stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(tableguess.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(steps)],
+        [sys.executable, "-c", script, json.dumps(arg)],
         capture_output=True,
         text=True,
         env=env,
@@ -40,6 +42,10 @@ def run_steps(steps: list[list[str]]) -> list[list]:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stderr.splitlines()[-1])
+
+
+def run_steps(steps: list[list[str]]) -> list[list]:
+    return run_script(SCRIPT, steps)
 
 
 def test_product_commands_never_import_numpy():
@@ -87,17 +93,7 @@ NEVER = {"numpy", "dataclasses", "inspect"}
 
 
 def loaded_by(argv: list[str]) -> set[str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(tableguess.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED_SCRIPT, json.dumps(argv)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    code, modules = run_script(LOADED_SCRIPT, argv)
     assert code == 0
     return set(modules)
 

@@ -67,6 +67,10 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
+    # the four library modules stay attributes of the package, as when it
+    # imported them all
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
     try:
         module = _MODULE_OF[name]
     except KeyError:
@@ -77,4 +81,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_EXPORTS})

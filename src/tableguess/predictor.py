@@ -55,11 +55,6 @@ class RoundForecast(Record):
     mae: Fraction
     mse: Fraction
 
-    def __init__(self, round: int, strategy: str, mae: Fraction, mse: Fraction) -> None:
-        # evaluate_season builds one per round and strategy, so this skips
-        # Record's generic argument binding
-        vars(self).update(round=round, strategy=strategy, mae=mae, mse=mse)
-
 
 class ForecastReport(Record):
     """Per-round forecast quality for both strategies over one season.

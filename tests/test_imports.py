@@ -102,6 +102,21 @@ def test_importing_the_package_loads_no_submodule():
     assert {m for m in loaded_by([]) if m.startswith("tableguess.")} == set()
 
 
+# Reaches each library module as an attribute of the package, with nothing
+# imported but ``tableguess``, and prints the names it found.
+MODULES_SCRIPT = """
+import json, sys
+import tableguess
+names = json.loads(sys.argv[1])
+print(json.dumps([getattr(tableguess, name).__name__ for name in names]), file=sys.stderr)
+"""
+
+
+def test_the_library_modules_are_attributes_of_the_package():
+    names = ["league", "permstats", "predictor", "regression"]
+    assert run_script(MODULES_SCRIPT, names) == [f"tableguess.{name}" for name in names]
+
+
 SEASON = str(bundled_path(SYNTHETIC_SEASON))
 
 # each product command, and the tableguess modules it has no use for

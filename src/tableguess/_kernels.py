@@ -15,9 +15,24 @@ sample ``s`` is a SplitMix64-style hash of ``(seed, s, i, retry)``, so
 results cannot depend on chunk size or vectorisation order. Bounded draws
 use modulo with rejection, which keeps the shuffle exactly uniform.
 A block of samples is stored positions x samples, so the column a
-Fisher-Yates step swaps is one contiguous row, and the hash is mixed in
-place in reused buffers. The moments are exact for any n: each score is
-an int64 sum of int32 distances, and sums and squares are taken in Python
+Fisher-Yates step swaps is one contiguous row. The draws are hashed a
+tile at a time: a tile holds the draws of consecutive steps, one row of
+the block's width per step, within ``_TILE_BYTES``. One set of numpy
+passes over a tile mixes the hash, reduces each draw modulo its step's
+bound and turns it into a flat swap target; rejection is checked per
+row. Each step then issues only the four calls of its swap, where hashing
+it alone took about twenty, so a large league, whose blocks are narrow,
+no longer pays that overhead once per step in every block.
+
+A block holds at most ``_BLOCK_SAMPLES`` = 8192 samples and at most
+``_BLOCK_BYTES // (8 n)``. The byte limit bounds memory at large n (21
+samples at n = 30000). The sample cap binds below n = 640: it keeps a
+small league's block, and with it the sampler's peak memory, at a quarter
+of what the byte limit allows (1.6 rather than 4.6 MiB traced at
+n = 20). Without tiles the cap would cost time, as each extra block would
+pay the per-step calls again; with tiles an extra block costs little
+more than its swaps. The moments are exact for any n: each score is an
+int64 sum of int32 distances, and sums and squares are taken in Python
 ints over the distinct scores of a block.
 """
 
@@ -38,14 +53,21 @@ _SEED_SALT = 0x8AD64C65E2D4B97F
 _M1 = np.uint64(_M1_INT)
 _M2 = np.uint64(_M2_INT)
 _SAMPLE_STRIDE = np.uint64(_SAMPLE_STRIDE_INT)
+_STEP_STRIDE = np.uint64(_STEP_STRIDE_INT)
+_MAX = np.uint64(_MASK)
+_ONE = np.uint64(1)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
-# A sampler block holds _BLOCK_BYTES // (8 n) samples: 32768 at n = 20,
-# and a few hundred at n in the thousands. Its int32 positions take half
-# of this budget.
+# A sampler block holds min(_BLOCK_SAMPLES, _BLOCK_BYTES // (8 n)) samples:
+# 8192 up to n = 640, a few hundred at n in the thousands; see the module
+# docstring. Its int32 positions take at most half of _BLOCK_BYTES.
 _BLOCK_BYTES = 5 << 20
+_BLOCK_SAMPLES = 8192
+# A tile holds the draws of as many steps as fit in _TILE_BYTES of uint64,
+# one row per step: 4 steps of 8192 samples, or 1560 steps of 21.
+_TILE_BYTES = 256 << 10
 
 
 def _mix64_int(z: int) -> int:
@@ -78,13 +100,14 @@ def _mc_moments_numpy(
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     if chunk is None:
-        chunk = max(1, _BLOCK_BYTES // (8 * n))
+        chunk = max(1, min(_BLOCK_SAMPLES, _BLOCK_BYTES // (8 * n)))
     chunk = min(chunk, samples)
+    rows = max(1, min(n - 1, _TILE_BYTES // (8 * chunk)))
     idx = np.arange(n, dtype=np.int32)
     block = np.empty(n * chunk, dtype=np.int32)
     base_buf = np.empty(chunk, dtype=np.uint64)
-    u_buf = np.empty(chunk, dtype=np.uint64)
-    tmp_buf = np.empty(chunk, dtype=np.uint64)
+    u_buf = np.empty(rows * chunk, dtype=np.uint64)
+    tmp_buf = np.empty(rows * chunk, dtype=np.uint64)
     vi_buf = np.empty(chunk, dtype=np.int32)
     vj_buf = np.empty(chunk, dtype=np.int32)
     cols_full = np.arange(chunk, dtype=np.uint64)
@@ -92,41 +115,25 @@ def _mc_moments_numpy(
     total = 0
     total_sq = 0
     lo, hi = n * n, 0
+    # steps n-1 .. 1 in tiles of `rows` steps each
+    tiles = [_tile_constants(top, rows) for top in range(n - 1, 0, -rows)]
     for start in range(0, samples, chunk):
         m = min(chunk, samples - start)
         flat = block[: n * m]
         perm = flat.reshape(n, m)
         perm[...] = idx[:, None]
-        base, u, tmp = base_buf[:m], u_buf[:m], tmp_buf[:m]
-        vi, vj, cols = vi_buf[:m], vj_buf[:m], cols_full[:m]
+        base, vi, vj, cols = base_buf[:m], vi_buf[:m], vj_buf[:m], cols_full[:m]
         sample_ids = np.arange(start, start + m, dtype=np.uint64)
         np.multiply(sample_ids, _SAMPLE_STRIDE, out=base)
         base ^= h64
-        _mix64_inplace(base, tmp)
-        stride = np.uint64(m)
-        for i in range(n - 1, 0, -1):
-            bound = i + 1
-            step = np.uint64((i * _STEP_STRIDE_INT) & _MASK)
-            np.bitwise_xor(base, step, out=u)
-            _mix64_inplace(u, tmp)
-            rem = (1 << 64) % bound
-            if rem:
-                threshold = np.uint64((1 << 64) - rem)
-                if u.max() >= threshold:
-                    _redraw(u, base, step, threshold)
-            # flat index j * m + sample of each draw j = u % bound; floor
-            # division by a scalar is several times faster than remainder
-            b64 = np.uint64(bound)
-            np.floor_divide(u, b64, out=tmp)
-            tmp *= b64
-            np.subtract(u, tmp, out=tmp)
-            tmp *= stride
-            tmp += cols
-            where = tmp.view(np.int64)
-            np.take(flat, where, out=vj)
-            np.copyto(vi, perm[i])
-            perm[i] = vj
-            flat[where] = vi
+        _mix64_inplace(base, tmp_buf[:m])
+        for top, consts, bounds, limits in tiles:
+            where = _tile_targets(consts, bounds, limits, base, cols, u_buf, tmp_buf)
+            for i, w in zip(range(top, 0, -1), where):
+                np.take(flat, w, out=vj)
+                np.copyto(vi, perm[i])
+                perm[i] = vj
+                flat[w] = vi
         perm -= idx[:, None]
         np.abs(perm, out=perm)
         scores = perm.sum(axis=0, dtype=np.int64)
@@ -137,6 +144,47 @@ def _mc_moments_numpy(
         lo = min(lo, int(values[0]))
         hi = max(hi, int(values[-1]))
     return total, total_sq, lo, hi
+
+
+def _tile_constants(
+    top: int, rows: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """For the steps i = top, top-1, ... of one tile (at most ``rows``, all
+    above 0): top, each step's hash constant, the bound i + 1, and the
+    largest draw that rejection accepts, 2^64 - 1 - (2^64 mod bound)."""
+    steps = np.arange(top, max(top - rows, 0), -1, dtype=np.uint64)
+    bounds = steps + _ONE
+    return top, steps * _STEP_STRIDE, bounds, _MAX - (_MAX % bounds + _ONE) % bounds
+
+
+def _tile_targets(
+    consts: np.ndarray,
+    bounds: np.ndarray,
+    limits: np.ndarray,
+    base: np.ndarray,
+    cols: np.ndarray,
+    u_buf: np.ndarray,
+    tmp_buf: np.ndarray,
+) -> np.ndarray:
+    """The flat swap targets ``j * m + sample`` of one tile of Fisher-Yates
+    steps, one row per step, where j = u % bound and u is the step's draw
+    for that sample. The rows are int64 views into ``tmp_buf``."""
+    s, m = len(consts), len(base)
+    u = u_buf[: s * m].reshape(s, m)
+    tmp = tmp_buf[: s * m].reshape(s, m)
+    np.bitwise_xor(base, consts[:, None], out=u)
+    _mix64_inplace(u, tmp)
+    for r in np.flatnonzero(u.max(axis=1) > limits).tolist():
+        _redraw(u[r], base, consts[r], limits[r] + _ONE)
+    # floor division by a per-row scalar is several times faster than
+    # remainder
+    b64 = bounds[:, None]
+    np.floor_divide(u, b64, out=tmp)
+    tmp *= b64
+    np.subtract(u, tmp, out=tmp)
+    tmp *= np.uint64(m)
+    tmp += cols
+    return tmp.view(np.int64)
 
 
 def _redraw(

@@ -22,6 +22,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 # league, predictor and regression are imported by the commands that use
 # them, so that each command loads only what it runs
 from . import STRATEGIES, STRATEGY_RANK, permstats
+from .textfile import read_text
 
 if TYPE_CHECKING:
     from . import predictor, regression
@@ -95,10 +96,8 @@ def read_table_file(path: str | Path) -> list[str]:
     Returns the team names in table order (position 1 first). Errors name
     the file, and the line when there is one.
     """
-    from . import league
-
     try:
-        return _table_teams(league.read_text(path))
+        return _table_teams(read_text(path))
     # json raises RecursionError on deeply nested arrays
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None

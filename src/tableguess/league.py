@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from ._record import Record
+from .textfile import read_text
 
 MATCH_FIELDS = ("season", "round", "home_team", "away_team", "home_goals", "away_goals")
 # Rounds and goals must stay below this. The frame's Python ints cannot
@@ -272,17 +273,6 @@ def _assemble(
         matches=records,
         rounds=max(rounds),
     )
-
-
-def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file without a leading byte order mark; an error
-    names the line of the first byte that is not UTF-8."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        line = data[: exc.start].count(b"\n") + 1
-        raise ValueError(f"line {line}: not valid {exc.encoding}: {exc.reason}") from None
 
 
 def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:

@@ -86,7 +86,8 @@ def ranking_from_orders(
     """
     if len(actual_order) != len(predicted_order):
         raise DimensionMismatchError(
-            f"orders differ in length: {len(actual_order)} vs {len(predicted_order)}"
+            f"orders differ in length: actual {len(actual_order)}"
+            f" vs predicted {len(predicted_order)}"
         )
     place = {label: k for k, label in enumerate(predicted_order, start=1)}
     if len(place) != len(predicted_order):

@@ -1,6 +1,7 @@
 """The summary that tools/bench_pair.py writes into BENCH_*.json."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
@@ -72,3 +73,23 @@ def test_unpaired_runs_and_modes_are_kept_apart():
 
 def test_machine_names_the_host():
     assert set(bench_pair.machine()) == {"cpu", "cores", "python", "numpy"}
+
+
+def test_probe_summary_spreads_each_side():
+    # pair 1 ran while the host was slow
+    probes = {"parent": [30.0, 66.0, 31.0], "change": [28.0, 70.0, 29.0]}
+    runs = [
+        {**run(pair, side, result(5.0, 20.0)), "host_probe_ms": probe}
+        for side, column in probes.items()
+        for pair, probe in enumerate(column)
+    ]
+    assert bench_pair.probe_summary(runs) == {
+        "parent": {"median": 31.0, "q1": 30.5, "q3": 48.5},
+        "change": {"median": 29.0, "q1": 28.5, "q3": 49.5},
+    }
+
+
+def test_host_probe_times_bare_interpreter_starts():
+    probe = bench_pair.host_probe(Path.cwd(), dict(os.environ))
+    # a start costs milliseconds, not microseconds or minutes
+    assert 0.5 < probe < 10_000

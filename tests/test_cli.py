@@ -248,7 +248,8 @@ class TestMae:
         code, out, err = run(capsys, "mae", "--pred", str(short), "--actual", actual)
         assert (code, out) == (2, "")
         assert err == (
-            f"error: --actual {actual}, --pred {short}: orders differ in length: 20 vs 2\n"
+            f"error: --actual {actual}, --pred {short}: "
+            "orders differ in length: actual 20 vs predicted 2\n"
         )
 
     def test_unknown_team_names_both_files(self, capsys, tmp_path):

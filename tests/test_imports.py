@@ -123,7 +123,7 @@ SEASON = str(bundled_path(SYNTHETIC_SEASON))
 SPARED = {
     "mae": (
         ["mae", "--pred", str(bundled_path(MERSON_PREDICTION)), "--actual", str(bundled_path(PL_FINAL))],
-        {"tableguess.predictor", "tableguess.regression"},
+        {"tableguess.league", "tableguess.predictor", "tableguess.regression"},
     ),
     "stats": (["stats", "--n", "20"], {"tableguess.league", "tableguess.predictor", "tableguess.regression"}),
     "predict": (["predict", SEASON, "--strategy", "gd"], {"tableguess.regression"}),

@@ -23,6 +23,8 @@ PINNED_MOMENTS = [
     (9, 4321, 77, (115108, 3233048, 6, 40)),
     (200, 3000, 5, (40004526, 534543417284, 11166, 15322)),
     (2000, 300, 11, (400397488, 534502117239792, 1277876, 1399660)),
+    (20, 50000, 3, (6645194, 902058620, 56, 198)),
+    (2000, 2000, 1, (2667784012, 3559276940062072, 1264758, 1404048)),
 ]
 
 
@@ -124,7 +126,9 @@ class TestNumpyLane:
         # 128 scores near n^2/3 = 3e8 square to ~1.2e19 together, above the
         # int64 range
         samples = 128
-        total, total_sq, _, _ = _kernels.mc_score_moments(30_000, samples, 7)
+        moments = _kernels.mc_score_moments(30_000, samples, 7)
+        assert moments == (38394985116, 11517193972861694000, 296816024, 302926980)
+        total, total_sq, _, _ = moments
         assert samples * total_sq >= total**2 > 0
 
     def test_memory_is_bounded_for_large_leagues(self):
@@ -135,6 +139,17 @@ class TestNumpyLane:
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20
+
+    def test_memory_is_bounded_for_small_leagues(self):
+        # the sample cap keeps an n = 20 block to 8192 samples; with 32768
+        # the traced peak was 4.57 MiB
+        tracemalloc.start()
+        try:
+            _kernels.mc_score_moments(20, 50000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 19
 
 
 class TestSampler:
@@ -149,6 +164,15 @@ class TestSampler:
         ],
     )
     def test_seeded_moments_are_pinned(self, n, samples, seed, moments, chunk):
+        h = _kernels.seed_hash(seed)
+        assert _kernels._mc_moments_numpy(n, samples, h, chunk) == moments
+
+    def test_partial_last_tile_and_block_are_pinned(self):
+        n, samples, seed, moments = PINNED_MOMENTS[3]
+        chunk = 1100
+        rows = _kernels._TILE_BYTES // (8 * chunk)
+        # neither the steps fill whole tiles nor the samples whole blocks
+        assert (n - 1) % rows and samples % chunk
         h = _kernels.seed_hash(seed)
         assert _kernels._mc_moments_numpy(n, samples, h, chunk) == moments
 

@@ -9,9 +9,13 @@ tree. Each side writes its bytecode to its own fresh cache there, so
 neither starts from compiled files the other lacks. Each pair runs ``perfbench/run.py`` once on each side, for
 BENCHMARK.json's ``run_seconds``, with the same fresh seed, and alternates
 which side runs first; ``--trace-pairs`` more pairs run with ``--trace 1``
-for the per-layer metrics. Runs go one at a time. The file records the
-machine, the seeds, every result line and, per metric, each side's median
-and quartiles and the pairs the change won.
+for the per-layer metrics. Runs go one at a time. Before each run the
+host is probed: the median wall time of five bare ``python -c pass``
+starts in that side's environment. The host switches between states
+whose speeds differ by 2x or more, so the probe lets files from different
+states be read against each other. The file records the machine, the
+seeds, every result line with its probe and, per metric, each side's
+median and quartiles and the pairs the change won.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PROBE_STARTS = 5
 
 
 def machine() -> dict:
@@ -79,6 +85,26 @@ def run_once(checkout: Path, env: dict, workload: str, seed: int, seconds: int, 
     if proc.returncode != 0:
         raise RuntimeError(f"run.py in {checkout} exited {proc.returncode}: {proc.stderr[-800:]}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def host_probe(checkout: Path, env: dict) -> float:
+    """Median wall time in ms of ``PROBE_STARTS`` bare interpreter starts
+    in ``checkout`` with ``env``: how fast the host is right now."""
+    times = []
+    for _ in range(PROBE_STARTS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], cwd=checkout, env=env, check=True)
+        times.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(times)
+
+
+def probe_summary(runs: list[dict]) -> dict:
+    """Each side's median and quartiles of the host probe over its runs."""
+    return {
+        side: _spread([run["host_probe_ms"] for run in runs if run["side"] == side])
+        for side in SIDES
+        if any(run["side"] == side for run in runs)
+    }
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -146,9 +172,17 @@ def main(argv: list[str] | None = None) -> int:
             seed = first + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
+                probe = host_probe(checkouts[side], envs[side])
                 result = run_once(checkouts[side], envs[side], args.workload, seed, seconds, trace)
-                runs.append({"trace": trace, "pair": pair, "seed": seed, "side": side, "result": result})
-                print(f"trace {trace} pair {pair} seed {seed} {side}: correct {result['correct']}", file=sys.stderr)
+                runs.append({
+                    "trace": trace, "pair": pair, "seed": seed, "side": side,
+                    "host_probe_ms": probe, "result": result,
+                })
+                print(
+                    f"trace {trace} pair {pair} seed {seed} {side}: correct {result['correct']},"
+                    f" probe {probe:.1f} ms",
+                    file=sys.stderr,
+                )
     head, status = (
         subprocess.run(["git", *command], cwd=ROOT, check=True, capture_output=True, text=True).stdout
         for command in (["rev-parse", "HEAD"], ["status", "--porcelain"])
@@ -163,6 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": machine(),
         "seeds": sorted({run["seed"] for run in runs}),
         "runs": runs,
+        "host_probe_ms": probe_summary(runs),
         "summary": summarize(runs, better),
     }
     out = ROOT / f"BENCH_{args.label}.json"

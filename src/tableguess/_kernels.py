@@ -20,9 +20,11 @@ tile at a time: a tile holds the draws of consecutive steps, one row of
 the block's width per step, within ``_TILE_BYTES``. One set of numpy
 passes over a tile mixes the hash, reduces each draw modulo its step's
 bound and turns it into a flat swap target; rejection is checked per
-row. Each step then issues only the four calls of its swap, where hashing
-it alone took about twenty, so a large league, whose blocks are narrow,
-no longer pays that overhead once per step in every block.
+row. Each step then issues only the three calls of its swap, where
+hashing it alone took about twenty, so a large league, whose blocks are
+narrow, no longer pays that overhead once per step in every block. The
+constants of each tile (step hash constants, bounds, rejection limits)
+are built once per call, 24 bytes a step.
 
 A block holds at most ``_BLOCK_SAMPLES`` = 8192 samples and at most
 ``_BLOCK_BYTES // (8 n)``. The byte limit bounds memory at large n (21
@@ -108,7 +110,6 @@ def _mc_moments_numpy(
     base_buf = np.empty(chunk, dtype=np.uint64)
     u_buf = np.empty(rows * chunk, dtype=np.uint64)
     tmp_buf = np.empty(rows * chunk, dtype=np.uint64)
-    vi_buf = np.empty(chunk, dtype=np.int32)
     vj_buf = np.empty(chunk, dtype=np.int32)
     cols_full = np.arange(chunk, dtype=np.uint64)
     h64 = np.uint64(h)
@@ -122,7 +123,7 @@ def _mc_moments_numpy(
         flat = block[: n * m]
         perm = flat.reshape(n, m)
         perm[...] = idx[:, None]
-        base, vi, vj, cols = base_buf[:m], vi_buf[:m], vj_buf[:m], cols_full[:m]
+        base, vj, cols = base_buf[:m], vj_buf[:m], cols_full[:m]
         sample_ids = np.arange(start, start + m, dtype=np.uint64)
         np.multiply(sample_ids, _SAMPLE_STRIDE, out=base)
         base ^= h64
@@ -130,10 +131,12 @@ def _mc_moments_numpy(
         for top, consts, bounds, limits in tiles:
             where = _tile_targets(consts, bounds, limits, base, cols, u_buf, tmp_buf)
             for i, w in zip(range(top, 0, -1), where):
+                # swap row i with each sample's target (j, c); scattering
+                # straight from row i is safe, as the write for sample c
+                # touches column c only
                 np.take(flat, w, out=vj)
-                np.copyto(vi, perm[i])
+                flat[w] = perm[i]
                 perm[i] = vj
-                flat[w] = vi
         perm -= idx[:, None]
         np.abs(perm, out=perm)
         scores = perm.sum(axis=0, dtype=np.int64)

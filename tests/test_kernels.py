@@ -171,7 +171,7 @@ class TestSampler:
         n, samples, seed, moments = PINNED_MOMENTS[3]
         chunk = 1100
         rows = _kernels._TILE_BYTES // (8 * chunk)
-        # neither the steps fill whole tiles nor the samples whole blocks
+        # neither do the steps fill whole tiles nor the samples whole blocks
         assert (n - 1) % rows and samples % chunk
         h = _kernels.seed_hash(seed)
         assert _kernels._mc_moments_numpy(n, samples, h, chunk) == moments

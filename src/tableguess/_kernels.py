@@ -19,18 +19,18 @@ Fisher-Yates step swaps is one contiguous row. The draws are hashed a
 tile at a time: a tile holds the draws of consecutive steps, one row of
 the block's width per step, within ``_TILE_BYTES``. One set of numpy
 passes over a tile mixes the hash, reduces each draw modulo its step's
-bound and turns it into a flat swap target; rejection is checked per
-row. Each step then issues only the three calls of its swap, where
-hashing it alone took about twenty, so a large league, whose blocks are
-narrow, no longer pays that overhead once per step in every block. The
-constants of each tile (step hash constants, bounds, rejection limits)
+bound and turns it into a flat swap target. One more pass tells whether
+any draw of the tile may be rejected, and only then are its rows checked
+one by one. Each step then issues only the three calls of its swap, so
+a large league, whose blocks are narrow, pays per-call overhead for the
+swaps alone rather than for some twenty calls a step. The constants of each tile (step hash constants, bounds, rejection limits)
 are built once per call, 24 bytes a step.
 
 A block holds at most ``_BLOCK_SAMPLES`` = 8192 samples and at most
 ``_BLOCK_BYTES // (8 n)``. The byte limit bounds memory at large n (21
 samples at n = 30000). The sample cap binds below n = 640: it keeps a
 small league's block, and with it the sampler's peak memory, at a quarter
-of what the byte limit allows (1.6 rather than 4.6 MiB traced at
+of what the byte limit allows (1.5 rather than 4.6 MiB traced at
 n = 20). Without tiles the cap would cost time, as each extra block would
 pay the per-step calls again; with tiles an extra block costs little
 more than its swaps. The moments are exact for any n: each score is an

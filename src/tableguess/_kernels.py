@@ -1,14 +1,14 @@
 """Hot numeric kernels: random-permutation sampling and full enumeration.
 
 Both are verification oracles for the closed forms in ``permstats``; no
-product path runs them. Each has one numpy implementation.
+product path runs them.
 
 Enumeration builds all n! permutations at once as an int8 array, by
 insertion: the rows for n come from the rows for n-1 with the value n-1
 inserted at each of the n positions. It is still brute force over every
 permutation, so it stays independent of the closed forms. Because the
-whole array is held in memory, n is capped at ``ENUM_MAX_N`` = 10
-(10! rows of 10 bytes, 36 MB).
+whole array is held in memory, n is capped at ``ORACLE_MAX_N`` = 10 from
+``permstats`` (10! rows of 10 bytes, 36 MB).
 
 Randomness is counter-based: the value consumed at shuffle step ``i`` of
 sample ``s`` is a SplitMix64-style hash of ``(seed, s, i, retry)``, so
@@ -21,9 +21,8 @@ the block's width per step, within ``_TILE_BYTES``. One set of numpy
 passes over a tile mixes the hash, reduces each draw modulo its step's
 bound and turns it into a flat swap target. One more pass tells whether
 any draw of the tile may be rejected, and only then are its rows checked
-one by one. Each step then issues only the three calls of its swap, so
-a large league, whose blocks are narrow, pays per-call overhead for the
-swaps alone rather than for some twenty calls a step. The constants of each tile (step hash constants, bounds, rejection limits)
+one by one. Each step then issues only the three calls of its swap. The
+constants of each tile (step hash constants, bounds, rejection limits)
 are built once per call, 24 bytes a step.
 
 A block holds at most ``_BLOCK_SAMPLES`` = 8192 samples and at most
@@ -31,19 +30,16 @@ A block holds at most ``_BLOCK_SAMPLES`` = 8192 samples and at most
 samples at n = 30000). The sample cap binds below n = 640: it keeps a
 small league's block, and with it the sampler's peak memory, at a quarter
 of what the byte limit allows (1.5 rather than 4.6 MiB traced at
-n = 20). Without tiles the cap would cost time, as each extra block would
-pay the per-step calls again; with tiles an extra block costs little
-more than its swaps. The moments are exact for any n: each score is an
-int64 sum of int32 distances, and sums and squares are taken in Python
-ints over the distinct scores of a block.
+n = 20). The moments are exact for any n: each score is an int64 sum of
+int32 distances, and sums and squares are taken in Python ints over the
+distinct scores of a block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Largest n the enumeration builds; see the module docstring.
-ENUM_MAX_N = 10
+from .permstats import ORACLE_MAX_N
 
 _MASK = (1 << 64) - 1
 _M1_INT = 0xBF58476D1CE4E5B9
@@ -79,11 +75,6 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def seed_hash(seed: int) -> int:
-    """Condense a user seed into the 64-bit state the sampler starts from."""
-    return _mix64_int((int(seed) & _MASK) ^ _SEED_SALT)
-
-
 def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
     """Apply the SplitMix64 finalizer to ``z`` in place; ``tmp`` is scratch."""
     for shift, mult in ((_S30, _M1), (_S27, _M2)):
@@ -94,9 +85,15 @@ def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def _mc_moments_numpy(
-    n: int, samples: int, h: int, chunk: int | None = None
+def mc_score_moments(
+    n: int, samples: int, seed: int, chunk: int | None = None
 ) -> tuple[int, int, int, int]:
+    """Exact (sum, sum of squares, min, max) of the footrule score over
+    ``samples`` uniform random permutations of size ``n``.
+
+    Bit-identical for a fixed (n, samples, seed), whatever the block size
+    ``chunk``, which tests set to exercise partial blocks.
+    """
     if not 0 < n < 1 << 31:
         raise ValueError(f"league size must be in 1..2**31-1, got {n}")
     if samples < 1:
@@ -116,7 +113,8 @@ def _mc_moments_numpy(
     )
     cols_full[:] = np.arange(chunk, dtype=np.uint64)
     block, vj_buf = np.split(ints.view(np.int32)[: (n + 1) * chunk], [n * chunk])
-    h64 = np.uint64(h)
+    # the 64-bit state the sampler starts from
+    h64 = np.uint64(_mix64_int((int(seed) & _MASK) ^ _SEED_SALT))
     total = 0
     total_sq = 0
     lo, hi = n * n, 0
@@ -217,8 +215,8 @@ def _redraw(
 
 def _all_permutations(n: int) -> np.ndarray:
     """Every permutation of 0..n-1 as one row of an (n!, n) int8 array."""
-    if n > ENUM_MAX_N:
-        raise ValueError(f"enumeration is capped at n = {ENUM_MAX_N}, got {n}")
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"enumeration is capped at n = {ORACLE_MAX_N}, got {n}")
     rows = np.zeros((1, 0), dtype=np.int8)
     for k in range(n):
         # insert the value k at each position p of every row of length k
@@ -231,7 +229,11 @@ def _all_permutations(n: int) -> np.ndarray:
     return rows
 
 
-def _dist_counts_numpy(n: int) -> np.ndarray:
+def score_distribution_counts(n: int) -> np.ndarray:
+    """Footrule score histogram over all n! permutations, n <= ``ORACLE_MAX_N``.
+
+    Index s holds the number of permutations with score s; odd indices stay 0.
+    """
     rows = _all_permutations(n)
     rows -= np.arange(n, dtype=np.int8)
     np.abs(rows, out=rows)
@@ -239,19 +241,3 @@ def _dist_counts_numpy(n: int) -> np.ndarray:
     del rows  # free the rows before bincount copies the scores to intp
     return np.bincount(scores, minlength=n * n // 2 + 1)
 
-
-def mc_score_moments(n: int, samples: int, seed: int) -> tuple[int, int, int, int]:
-    """Exact (sum, sum of squares, min, max) of the footrule score over
-    ``samples`` uniform random permutations of size ``n``.
-
-    Bit-identical for a fixed (n, samples, seed).
-    """
-    return _mc_moments_numpy(n, samples, seed_hash(seed))
-
-
-def score_distribution_counts(n: int) -> np.ndarray:
-    """Footrule score histogram over all n! permutations, n <= ``ENUM_MAX_N``.
-
-    Index s holds the number of permutations with score s; odd indices stay 0.
-    """
-    return _dist_counts_numpy(n)

@@ -142,9 +142,14 @@ def _table_teams(text: str) -> list[str]:
     return teams
 
 
+def _check_n(n: int | None) -> None:
+    """Refuse an ``--n`` above the largest league ``score_stats`` takes."""
+    if n is not None and n > permstats.STATS_MAX_N:
+        raise ValueError(f"--n must be at most {permstats.STATS_MAX_N}, got {n}")
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.n > permstats.STATS_MAX_N:
-        raise ValueError(f"--n must be at most {permstats.STATS_MAX_N}, got {args.n}")
+    _check_n(args.n)
     # ScoreStats's fields, in the printed order
     stats = vars(permstats.score_stats(args.n))
     obj = {
@@ -218,8 +223,7 @@ def _verify_mc(n: int, samples: int, seed: int) -> tuple[list[str], bool]:
 
 
 def _check_verify_limits(args: argparse.Namespace) -> None:
-    if args.n is not None and args.n > permstats.STATS_MAX_N:
-        raise ValueError(f"--n must be at most {permstats.STATS_MAX_N}, got {args.n}")
+    _check_n(args.n)
     if args.samples is None:
         return
     if args.samples < 1:
@@ -311,6 +315,16 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decimal(text: str) -> float | Fraction:
+    """The decimal as typed, exactly, unless it is not positive and finite:
+    ``evaluate_season`` refuses that float with its own message."""
+    value = float(text)
+    return Fraction(text) if 0 < value < math.inf else value
+
+
+_decimal.__name__ = "float"  # argparse names the type in its error message
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from . import league, predictor
 
@@ -385,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matches", help="match CSV file")
     p.add_argument(
         "--baseline-fraction",
-        type=float,
+        type=_decimal,
         default=0.5,
         help="threshold as a fraction of the random-guess MAE (default 0.5)",
     )

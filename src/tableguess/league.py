@@ -29,8 +29,8 @@ import csv
 import io
 from bisect import bisect_right
 from functools import cached_property
-from itertools import chain, islice
-from operator import sub
+from itertools import chain, groupby, islice
+from operator import attrgetter, sub
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -50,27 +50,22 @@ class MatchFileError(ValueError):
 
 def _check_match(m: MatchRecord) -> None:
     """Refuse a match no season holds. ``MatchRecord`` and ``parse_matches``
-    both call this, so both refuse the same values with the same message."""
-    # one expression passes a valid match; the branches below only name the fault
-    if (
-        1 <= m.round < _FIELD_LIMIT
-        and 0 <= m.home_goals < _FIELD_LIMIT
-        and 0 <= m.away_goals < _FIELD_LIMIT
-        and m.home_team != m.away_team
-        and m.season.strip()
-        and m.home_team.strip()
-        and m.away_team.strip()
-    ):
-        return
+    both call this, so both refuse the same values with the same message.
+    The first rule broken, in this order, names the fault."""
     if not 1 <= m.round < _FIELD_LIMIT:
         raise ValueError(f"round must be in 1..{_FIELD_LIMIT - 1}, got {m.round}")
-    for goals in (m.home_goals, m.away_goals):
-        if not 0 <= goals < _FIELD_LIMIT:
-            raise ValueError(f"goals must be in 0..{_FIELD_LIMIT - 1}, got {goals}")
-    for name in ("season", "home_team", "away_team"):
-        if not getattr(m, name).strip():
-            raise ValueError(f"{name} must not be blank")
-    raise ValueError(f"{m.home_team!r} cannot play itself")
+    if not 0 <= m.home_goals < _FIELD_LIMIT:
+        raise ValueError(f"goals must be in 0..{_FIELD_LIMIT - 1}, got {m.home_goals}")
+    if not 0 <= m.away_goals < _FIELD_LIMIT:
+        raise ValueError(f"goals must be in 0..{_FIELD_LIMIT - 1}, got {m.away_goals}")
+    if not m.season.strip():
+        raise ValueError("season must not be blank")
+    if not m.home_team.strip():
+        raise ValueError("home_team must not be blank")
+    if not m.away_team.strip():
+        raise ValueError("away_team must not be blank")
+    if m.home_team == m.away_team:
+        raise ValueError(f"{m.home_team!r} cannot play itself")
 
 
 class MatchRecord(Record):
@@ -115,19 +110,18 @@ class SeasonFrame:
 
     def __init__(self, teams: Sequence[str], matches: Sequence[MatchRecord]) -> None:
         column = {team: i for i, team in enumerate(teams)}
-        by_round: dict[int, list[tuple[int, int, int, int]]] = {}
-        for m in matches:
-            by_round.setdefault(m.round, []).append(
-                (column[m.home_team], column[m.away_team], m.home_goals, m.away_goals)
-            )
-        self.played_rounds = sorted(by_round)
         size = len(teams)
         tally = tuple([0] * size for _ in range(6))
         played, won, drawn, points, gd, gf = tally
         rows = tuple([row[:]] for row in tally)
         self.played, self.won, self.drawn, self.points, self.gd, self.gf = rows
-        for rnd in self.played_rounds:
-            for home, away, home_goals, away_goals in by_round[rnd]:
+        self.played_rounds = []
+        round_of = attrgetter("round")
+        for rnd, round_matches in groupby(sorted(matches, key=round_of), round_of):
+            self.played_rounds.append(rnd)
+            for m in round_matches:
+                home, away = column[m.home_team], column[m.away_team]
+                home_goals, away_goals = m.home_goals, m.away_goals
                 played[home] += 1
                 played[away] += 1
                 gf[home] += home_goals

@@ -17,7 +17,7 @@ from typing import Hashable, Iterator, Sequence
 from ._record import Record
 
 # Enumeration holds all n! permutations in memory at once, so it stops
-# here; tableguess._kernels.ENUM_MAX_N is the same ceiling.
+# here; tableguess._kernels refuses larger n with this same constant.
 ORACLE_MAX_N = 10
 # The largest league score_stats accepts. It bounds the time of the
 # factorials, and keeps every exact probability printable: the denominator

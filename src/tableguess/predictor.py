@@ -60,7 +60,7 @@ class ForecastReport(Record):
     """Per-round forecast quality for both strategies over one season.
 
     ``threshold_rounds`` holds, per strategy, the earliest round whose MAE
-    drops below ``baseline_fraction`` times the random-guess expectation.
+    is below ``baseline_fraction`` times the random-guess expectation, exactly.
     ``gd_better_rounds`` lists rounds where gd strictly beats rank.
     """
 
@@ -74,9 +74,10 @@ class ForecastReport(Record):
 
 
 def evaluate_season(
-    dataset: SeasonDataset, *, baseline_fraction: float = 0.5
+    dataset: SeasonDataset, *, baseline_fraction: float | Fraction = 0.5
 ) -> ForecastReport:
-    """Score both strategies at every round against the final table."""
+    """Score both strategies at every round against the final table. The
+    threshold compares exact values; pass a typed decimal as a ``Fraction``."""
     if not 0.0 < baseline_fraction:
         raise ValueError(f"baseline fraction must be positive, got {baseline_fraction}")
     if not math.isfinite(baseline_fraction):
@@ -84,7 +85,7 @@ def evaluate_season(
     frame = dataset._frame
     n = len(dataset.teams)
     baseline = permstats.score_stats(n).expected_mae
-    cutoff = baseline_fraction * float(baseline)
+    cutoff = Fraction(baseline_fraction) * baseline
     final = frame.places[-1]
     squares = sum(map(mul, final, final))
     # Per frame row and strategy, the sums over teams of |place error| and
@@ -116,7 +117,7 @@ def evaluate_season(
                     round=rnd, strategy=strategy, mae=value, mse=Fraction(sq_sum, n)
                 )
             )
-            if threshold_rounds[strategy] is None and float(value) < cutoff:
+            if threshold_rounds[strategy] is None and value < cutoff:
                 threshold_rounds[strategy] = rnd
         if sums[STRATEGY_GD][k][0] < sums[STRATEGY_RANK][k][0]:
             gd_better.append(rnd)
@@ -124,7 +125,7 @@ def evaluate_season(
         season=dataset.season,
         n=n,
         baseline_expected_mae=baseline,
-        baseline_fraction=baseline_fraction,
+        baseline_fraction=float(baseline_fraction),
         records=tuple(records),
         threshold_rounds=threshold_rounds,
         gd_better_rounds=tuple(gd_better),

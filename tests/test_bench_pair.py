@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
@@ -93,3 +94,20 @@ def test_host_probe_times_bare_interpreter_starts():
     probe = bench_pair.host_probe(Path.cwd(), dict(os.environ))
     # a start costs milliseconds, not microseconds or minutes
     assert 0.5 < probe < 10_000
+
+
+def test_untracked_files_are_not_uncommitted_changes(tmp_path):
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "code.py").write_text("x = 1\n")
+    git("add", "code.py")
+    git("commit", "-q", "-m", "first")
+    (tmp_path / "BENCH_x.json").write_text("{}\n")
+    assert bench_pair.worktree_state(tmp_path) == (git("rev-parse", "HEAD"), False)
+    (tmp_path / "code.py").write_text("x = 2\n")
+    assert bench_pair.worktree_state(tmp_path)[1] is True

@@ -424,6 +424,17 @@ class TestEvaluate:
         assert out == ""
         assert err == "error: baseline fraction must be finite, got inf\n"
 
+    def test_a_mae_equal_to_the_cutoff_is_not_below_it(self, capsys, synthetic_path):
+        code, out, _ = run(
+            capsys, "evaluate", synthetic_path, "--format", "json", "--baseline-fraction", "0.8"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        # both strategies score 26/7 at round 1, exactly 0.8 of 65/14
+        assert {r["mae"] for r in payload["records"] if r["round"] == 1} == {26 / 7}
+        assert payload["summary"]["baseline_fraction"] == 0.8
+        assert payload["summary"]["threshold_rounds"] == {"rank": 6, "gd": 5}
+
 
 class TestTableFiles:
     def test_csv_positions_must_be_contiguous(self, tmp_path):

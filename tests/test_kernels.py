@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tableguess import _kernels
-from tableguess.permstats import OracleCapError, brute_force_distribution
+from tableguess.permstats import ORACLE_MAX_N, OracleCapError, brute_force_distribution
 
 MASK = (1 << 64) - 1
 M1 = 0xBF58476D1CE4E5B9
@@ -98,9 +98,8 @@ def _footrule_counts(n: int) -> list[int]:
 
 class TestNumpyLane:
     def test_chunk_size_cannot_change_results(self):
-        h = _kernels.seed_hash(77)
-        small = _kernels._mc_moments_numpy(9, 4321, h, chunk=17)
-        large = _kernels._mc_moments_numpy(9, 4321, h, chunk=1 << 15)
+        small = _kernels.mc_score_moments(9, 4321, 77, chunk=17)
+        large = _kernels.mc_score_moments(9, 4321, 77, chunk=1 << 15)
         assert small == large
 
     def test_counts_match_direct_enumeration(self):
@@ -108,15 +107,13 @@ class TestNumpyLane:
         reference = np.zeros(n * n // 2 + 1, dtype=np.int64)
         for perm in itertools.permutations(range(n)):
             reference[sum(abs(v - k) for k, v in enumerate(perm))] += 1
-        assert (_kernels._dist_counts_numpy(n) == reference).all()
+        assert (_kernels.score_distribution_counts(n) == reference).all()
 
     def test_moments_match_direct_sampling_statistics(self):
         # the moments must describe genuine permutations: max below the
         # score ceiling, min at least 0, totals consistent
         n, samples = 10, 5000
-        total, total_sq, lo, hi = _kernels._mc_moments_numpy(
-            n, samples, _kernels.seed_hash(5)
-        )
+        total, total_sq, lo, hi = _kernels.mc_score_moments(n, samples, 5)
         assert 0 <= lo <= hi <= n * n // 2
         assert lo % 2 == hi % 2 == 0
         assert samples * lo <= total <= samples * hi
@@ -164,8 +161,7 @@ class TestSampler:
         ],
     )
     def test_seeded_moments_are_pinned(self, n, samples, seed, moments, chunk):
-        h = _kernels.seed_hash(seed)
-        assert _kernels._mc_moments_numpy(n, samples, h, chunk) == moments
+        assert _kernels.mc_score_moments(n, samples, seed, chunk) == moments
 
     def test_partial_last_tile_and_block_are_pinned(self):
         n, samples, seed, moments = PINNED_MOMENTS[3]
@@ -173,8 +169,7 @@ class TestSampler:
         rows = _kernels._TILE_BYTES // (8 * chunk)
         # neither do the steps fill whole tiles nor the samples whole blocks
         assert (n - 1) % rows and samples % chunk
-        h = _kernels.seed_hash(seed)
-        assert _kernels._mc_moments_numpy(n, samples, h, chunk) == moments
+        assert _kernels.mc_score_moments(n, samples, seed, chunk) == moments
 
     def test_matches_the_python_reference_sampler(self):
         for n, samples, seed in ((2, 5, 0), (7, 40, 3), (20, 25, 42)):
@@ -219,7 +214,7 @@ class TestEnumeration:
         with pytest.raises(OracleCapError):
             brute_force_distribution(11)
         with pytest.raises(ValueError):
-            _kernels.score_distribution_counts(_kernels.ENUM_MAX_N + 1)
+            _kernels.score_distribution_counts(ORACLE_MAX_N + 1)
 
     def test_memory_is_bounded(self):
         tracemalloc.start()

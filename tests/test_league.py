@@ -140,6 +140,20 @@ REJECTIONS = [
 ]
 
 
+# Records that break several rules at once, and the message of the rule
+# checked first: round, home goals, away goals, blank season, blank home
+# team, blank away team, then self-play.
+MULTI_FAULT = [
+    (("S", 0, "A", "A", 2**31, 0), "round must be in 1..2147483647, got 0"),
+    (("S", 1, "", "B", -1, 0), "goals must be in 0..2147483647, got -1"),
+    (("S", 1, "A", " ", 2**31, -1), "goals must be in 0..2147483647, got 2147483648"),
+    (("S", 1, "A", "B", 0, -1), "goals must be in 0..2147483647, got -1"),
+    (("", 1, "A", "A", 0, 0), "season must not be blank"),
+    ((" ", 1, "A", "", 0, 0), "season must not be blank"),
+    (("S", 1, " ", " ", 0, 0), "home_team must not be blank"),
+]
+
+
 class TestRejections:
     @pytest.mark.parametrize(("rows", "message"), REJECTIONS)
     def test_full_message(self, rows, message):
@@ -176,6 +190,7 @@ class TestRejections:
             ("", 1, "A", "B", 0, 0),
             ("S", 1, " ", "B", 0, 0),
             ("S", 1, "A", "", 0, 0),
+            *(values for values, _ in MULTI_FAULT),
         ],
     )
     def test_records_in_code_get_the_parser_message(self, values):
@@ -184,6 +199,12 @@ class TestRejections:
         with pytest.raises(MatchFileError) as parsed:
             parse_text(HEADER + ",".join(map(str, values)) + "\n")
         assert str(parsed.value) == f"line 2: {in_code.value}"
+
+    @pytest.mark.parametrize(("values", "message"), MULTI_FAULT)
+    def test_first_broken_rule_names_the_fault(self, values, message):
+        with pytest.raises(ValueError) as info:
+            MatchRecord(*values)
+        assert str(info.value) == message
 
     def test_leading_bom_is_dropped(self, tmp_path):
         path = tmp_path / "matches.csv"

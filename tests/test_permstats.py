@@ -290,9 +290,6 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_distribution(1)
 
-    def test_ceiling_is_the_kernels_ceiling(self):
-        assert permstats.ORACLE_MAX_N == _kernels.ENUM_MAX_N
-
     def test_moments_match_closed_forms(self):
         for n in range(2, 7):
             mean, variance, top, top_count = distribution_moments(

@@ -138,20 +138,18 @@ class TestEvaluateSeason:
             assert (rnd in report.gd_better_rounds) == gd_wins
 
     def test_threshold_round_definition(self, synthetic_dataset):
-        report = evaluate_season(synthetic_dataset, baseline_fraction=0.5)
-        cutoff = 0.5 * float(report.baseline_expected_mae)
+        report = evaluate_season(synthetic_dataset, baseline_fraction=Fraction(1, 2))
+        cutoff = report.baseline_expected_mae / 2
         by_key = {(rec.round, rec.strategy): rec.mae for rec in report.records}
         for strategy, crossing in report.threshold_rounds.items():
             if crossing is None:
                 assert all(
-                    float(by_key[(rnd, strategy)]) >= cutoff
+                    by_key[(rnd, strategy)] >= cutoff
                     for rnd in range(1, synthetic_dataset.rounds + 1)
                 )
             else:
-                assert float(by_key[(crossing, strategy)]) < cutoff
-                assert all(
-                    float(by_key[(rnd, strategy)]) >= cutoff for rnd in range(1, crossing)
-                )
+                assert by_key[(crossing, strategy)] < cutoff
+                assert all(by_key[(rnd, strategy)] >= cutoff for rnd in range(1, crossing))
 
     def test_deterministic(self, synthetic_dataset):
         assert evaluate_season(synthetic_dataset) == evaluate_season(synthetic_dataset)

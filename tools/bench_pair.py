@@ -147,6 +147,17 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def worktree_state(root: Path) -> tuple[str, bool]:
+    """The commit checked out at ``root``, and whether its tracked files
+    differ from it. Untracked files, such as the BENCH files this tool
+    writes, do not count."""
+    head, status = (
+        subprocess.run(["git", *command], cwd=root, check=True, capture_output=True, text=True).stdout
+        for command in (["rev-parse", "HEAD"], ["status", "--porcelain", "--untracked-files=no"])
+    )
+    return head.strip(), bool(status.strip())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -183,17 +194,14 @@ def main(argv: list[str] | None = None) -> int:
                     f" probe {probe:.1f} ms",
                     file=sys.stderr,
                 )
-    head, status = (
-        subprocess.run(["git", *command], cwd=ROOT, check=True, capture_output=True, text=True).stdout
-        for command in (["rev-parse", "HEAD"], ["status", "--porcelain"])
-    )
+    head, uncommitted = worktree_state(ROOT)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     report = {
         "label": args.label,
         "workload": args.workload,
         "seconds": seconds,
         "parent": {"rev": args.parent, "commit": sha},
-        "change": {"head": head.strip(), "uncommitted_changes": bool(status.strip())},
+        "change": {"head": head, "uncommitted_changes": uncommitted},
         "machine": machine(),
         "seeds": sorted({run["seed"] for run in runs}),
         "runs": runs,

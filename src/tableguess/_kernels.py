@@ -27,10 +27,11 @@ are built once per call, 24 bytes a step.
 
 A block holds at most ``_BLOCK_SAMPLES`` = 8192 samples and at most
 ``_BLOCK_BYTES // (8 n)``. The byte limit bounds memory at large n (21
-samples at n = 30000). The sample cap binds below n = 640: it keeps a
-small league's block, and with it the sampler's peak memory, at a quarter
-of what the byte limit allows (1.5 rather than 4.6 MiB traced at
-n = 20). The moments are exact for any n: each score is an int64 sum of
+samples at n = 30000). The sample cap binds up to n = 80; the byte limit
+allows 8090 samples at n = 81 and 1024 at n = 640. The cap keeps a small
+league's block, and with it the sampler's peak memory, at a quarter of
+what the byte limit allows (1.5 rather than 4.6 MiB traced at n = 20).
+The moments are exact for any n: each score is an int64 sum of
 int32 distances, and sums and squares are taken in Python ints over the
 distinct scores of a block.
 """
@@ -42,16 +43,12 @@ import numpy as np
 from .permstats import ORACLE_MAX_N
 
 _MASK = (1 << 64) - 1
-_M1_INT = 0xBF58476D1CE4E5B9
-_M2_INT = 0x94D049BB133111EB
-_SAMPLE_STRIDE_INT = 0x9E3779B97F4A7C15
-_STEP_STRIDE_INT = 0xC2B2AE3D27D4EB4F
 _SEED_SALT = 0x8AD64C65E2D4B97F
 
-_M1 = np.uint64(_M1_INT)
-_M2 = np.uint64(_M2_INT)
-_SAMPLE_STRIDE = np.uint64(_SAMPLE_STRIDE_INT)
-_STEP_STRIDE = np.uint64(_STEP_STRIDE_INT)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_SAMPLE_STRIDE = np.uint64(0x9E3779B97F4A7C15)
+_STEP_STRIDE = np.uint64(0xC2B2AE3D27D4EB4F)
 _MAX = np.uint64(_MASK)
 _ONE = np.uint64(1)
 _S30 = np.uint64(30)
@@ -59,20 +56,13 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
 # A sampler block holds min(_BLOCK_SAMPLES, _BLOCK_BYTES // (8 n)) samples:
-# 8192 up to n = 640, a few hundred at n in the thousands; see the module
-# docstring. Its int32 positions take at most half of _BLOCK_BYTES.
+# 8192 up to n = 80, 1024 at n = 640, a few hundred at n in the thousands;
+# see the module docstring. Its int32 positions take at most half of _BLOCK_BYTES.
 _BLOCK_BYTES = 5 << 20
 _BLOCK_SAMPLES = 8192
 # A tile holds the draws of as many steps as fit in _TILE_BYTES of uint64,
 # one row per step: 4 steps of 8192 samples, or 1560 steps of 21.
 _TILE_BYTES = 256 << 10
-
-
-def _mix64_int(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _M1_INT) & _MASK
-    z = ((z ^ (z >> 27)) * _M2_INT) & _MASK
-    return z ^ (z >> 31)
 
 
 def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -114,7 +104,8 @@ def mc_score_moments(
     cols_full[:] = np.arange(chunk, dtype=np.uint64)
     block, vj_buf = np.split(ints.view(np.int32)[: (n + 1) * chunk], [n * chunk])
     # the 64-bit state the sampler starts from
-    h64 = np.uint64(_mix64_int((int(seed) & _MASK) ^ _SEED_SALT))
+    h64 = np.array([(int(seed) & _MASK) ^ _SEED_SALT], dtype=np.uint64)
+    _mix64_inplace(h64, tmp_buf[:1])
     total = 0
     total_sq = 0
     lo, hi = n * n, 0

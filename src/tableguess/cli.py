@@ -143,9 +143,10 @@ def _table_teams(text: str) -> list[str]:
 
 
 def _check_n(n: int | None) -> None:
-    """Refuse an ``--n`` above the largest league ``score_stats`` takes."""
-    if n is not None and n > permstats.STATS_MAX_N:
-        raise ValueError(f"--n must be at most {permstats.STATS_MAX_N}, got {n}")
+    """Refuse an ``--n`` outside the leagues ``score_stats`` takes."""
+    if n is not None and not 2 <= n <= permstats.STATS_MAX_N:
+        bound = "at least 2" if n < 2 else f"at most {permstats.STATS_MAX_N}"
+        raise ValueError(f"--n must be {bound}, got {n}")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -185,41 +186,36 @@ def _exact_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _verify_exact(lo: int, hi: int) -> tuple[list[str], bool]:
-    lines = []
-    ok = True
-
-    def check(n: int, name: str, got, want) -> None:
-        nonlocal ok
-        if got == want:
-            lines.append(f"n={n} {name}: PASS")
-        else:
-            ok = False
-            lines.append(f"n={n} {name}: FAIL (enumerated {got}, closed form {want})")
-
+def _verify_exact(lo: int, hi: int) -> Iterator[tuple[bool, str]]:
+    """One (passed, line) per closed form and league size."""
     for n in range(lo, hi + 1):
         dist = permstats.brute_force_distribution(n)
         mean, variance, top, top_count = permstats.distribution_moments(dist)
         stats = permstats.score_stats(n)
-        check(n, "expected_score", mean, stats.expected_score)
-        check(n, "variance_score", variance, stats.variance_score)
-        check(n, "max_score", top, stats.max_score)
-        check(n, "worst_count", top_count, stats.worst_count)
-    return lines, ok
+        for name, got, want in (
+            ("expected_score", mean, stats.expected_score),
+            ("variance_score", variance, stats.variance_score),
+            ("max_score", top, stats.max_score),
+            ("worst_count", top_count, stats.worst_count),
+        ):
+            if got == want:
+                yield True, f"n={n} {name}: PASS"
+            else:
+                yield False, f"n={n} {name}: FAIL (enumerated {got}, closed form {want})"
 
 
-def _verify_mc(n: int, samples: int, seed: int) -> tuple[list[str], bool]:
+def _verify_mc(n: int, samples: int, seed: int) -> tuple[bool, str]:
     stats = permstats.score_stats(n)
     summary = permstats.monte_carlo_mae(n, samples, seed)
     tolerance = 3.0 * math.sqrt(float(stats.variance_mae) / samples)
-    delta = abs(float(summary.mean) - float(stats.expected_mae))
-    verdict = "PASS" if delta <= tolerance else "FAIL"
+    passed = abs(float(summary.mean) - float(stats.expected_mae)) <= tolerance
     line = (
-        f"n={n} mc_mean_mae: {verdict} (sample {float(summary.mean):.6f}, "
+        f"n={n} mc_mean_mae: {'PASS' if passed else 'FAIL'} "
+        f"(sample {float(summary.mean):.6f}, "
         f"expected {float(stats.expected_mae):.6f}, tolerance {tolerance:.6f}, "
         f"samples {samples}, seed {seed})"
     )
-    return [line], verdict == "PASS"
+    return passed, line
 
 
 def _check_verify_limits(args: argparse.Namespace) -> None:
@@ -245,19 +241,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--samples requires --seed for reproducibility")
     if args.mc and (args.n is None or args.samples is None or args.seed is None):
         raise ValueError("--mc requires --n, --samples and --seed")
-    lines: list[str] = []
-    ok = True
-    if exact is not None:
-        exact_lines, exact_ok = _verify_exact(*exact)
-        lines.extend(exact_lines)
-        ok = ok and exact_ok
+    verdicts = [] if exact is None else list(_verify_exact(*exact))
     if args.mc:
-        mc_lines, mc_ok = _verify_mc(args.n, args.samples, args.seed)
-        lines.extend(mc_lines)
-        ok = ok and mc_ok
-    for line in lines:
+        verdicts.append(_verify_mc(args.n, args.samples, args.seed))
+    for _, line in verdicts:
         print(line)
-    return 0 if ok else 1
+    return 0 if all(passed for passed, _ in verdicts) else 1
 
 
 def _cmd_mae(args: argparse.Namespace) -> int:
@@ -313,16 +302,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     records = [dict(zip(TABLE_FIELDS, entry)) for entry in enumerate(order, start=1)]
     _write(args, list(order), records)
     return 0
-
-
-def _decimal(text: str) -> float | Fraction:
-    """The decimal as typed, exactly, unless it is not positive and finite:
-    ``evaluate_season`` refuses that float with its own message."""
-    value = float(text)
-    return Fraction(text) if 0 < value < math.inf else value
-
-
-_decimal.__name__ = "float"  # argparse names the type in its error message
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -399,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matches", help="match CSV file")
     p.add_argument(
         "--baseline-fraction",
-        type=_decimal,
+        type=float,
         default=0.5,
         help="threshold as a fraction of the random-guess MAE (default 0.5)",
     )

@@ -98,18 +98,19 @@ def ranking_from_orders(
         raise ValueError(f"label {exc.args[0]!r} missing from predicted order") from None
 
 
-def _coerce(ranking: Ranking | Sequence[int]) -> Ranking:
-    return ranking if isinstance(ranking, Ranking) else Ranking(tuple(ranking))
-
-
-def _pair(
+def _place_errors(
     pred: Ranking | Sequence[int], actual: Ranking | Sequence[int] | None
-) -> tuple[Ranking, Ranking]:
-    p = _coerce(pred)
-    a = identity(p.n) if actual is None else _coerce(actual)
-    if p.n != a.n:
-        raise DimensionMismatchError(f"ranking sizes differ: {p.n} vs {a.n}")
-    return p, a
+) -> list[int]:
+    """Check both rankings and their sizes once; return each team's
+    predicted place minus its actual place."""
+    p = pred if isinstance(pred, Ranking) else Ranking(tuple(pred))
+    if actual is None:
+        a = identity(p.n)
+    else:
+        a = actual if isinstance(actual, Ranking) else Ranking(tuple(actual))
+        if p.n != a.n:
+            raise DimensionMismatchError(f"ranking sizes differ: {p.n} vs {a.n}")
+    return list(map(operator.sub, p.places, a.places))
 
 
 def footrule_score(
@@ -119,24 +120,23 @@ def footrule_score(
 
     ``actual`` defaults to the identity (true final order).
     """
-    p, a = _pair(pred, actual)
-    return sum(abs(x - y) for x, y in zip(p.places, a.places))
+    return sum(map(abs, _place_errors(pred, actual)))
 
 
 def mae(
     pred: Ranking | Sequence[int], actual: Ranking | Sequence[int] | None = None
 ) -> Fraction:
     """Mean absolute place error as an exact rational."""
-    p, a = _pair(pred, actual)
-    return Fraction(footrule_score(p, a), p.n)
+    errors = _place_errors(pred, actual)
+    return Fraction(sum(map(abs, errors)), len(errors))
 
 
 def mse(
     pred: Ranking | Sequence[int], actual: Ranking | Sequence[int] | None = None
 ) -> Fraction:
     """Mean squared place error as an exact rational."""
-    p, a = _pair(pred, actual)
-    return Fraction(sum((x - y) ** 2 for x, y in zip(p.places, a.places)), p.n)
+    errors = _place_errors(pred, actual)
+    return Fraction(sum(d * d for d in errors), len(errors))
 
 
 class ScoreStats(Record):

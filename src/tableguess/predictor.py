@@ -77,7 +77,8 @@ def evaluate_season(
     dataset: SeasonDataset, *, baseline_fraction: float | Fraction = 0.5
 ) -> ForecastReport:
     """Score both strategies at every round against the final table. The
-    threshold compares exact values; pass a typed decimal as a ``Fraction``."""
+    threshold compares exact values: a float ``baseline_fraction`` is read
+    as its shortest decimal, so 0.8 is 4/5."""
     if not 0.0 < baseline_fraction:
         raise ValueError(f"baseline fraction must be positive, got {baseline_fraction}")
     if not math.isfinite(baseline_fraction):
@@ -85,7 +86,8 @@ def evaluate_season(
     frame = dataset._frame
     n = len(dataset.teams)
     baseline = permstats.score_stats(n).expected_mae
-    cutoff = Fraction(baseline_fraction) * baseline
+    exact = str(baseline_fraction) if isinstance(baseline_fraction, float) else baseline_fraction
+    cutoff = Fraction(exact) * baseline
     final = frame.places[-1]
     squares = sum(map(mul, final, final))
     # Per frame row and strategy, the sums over teams of |place error| and

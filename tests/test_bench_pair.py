@@ -1,6 +1,7 @@
 """The summary that tools/bench_pair.py writes into BENCH_*.json."""
 
 import importlib.util
+import json
 import os
 import subprocess
 from pathlib import Path
@@ -111,3 +112,38 @@ def test_untracked_files_are_not_uncommitted_changes(tmp_path):
     assert bench_pair.worktree_state(tmp_path) == (git("rev-parse", "HEAD"), False)
     (tmp_path / "code.py").write_text("x = 2\n")
     assert bench_pair.worktree_state(tmp_path)[1] is True
+
+
+def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": [], "per_layer": []}\n'
+    )
+    calls = []
+
+    def run_once(checkout, env, workload, seed, seconds, trace):
+        calls.append(checkout)
+        if len(calls) == 3:
+            raise subprocess.CalledProcessError(3, ["run.py"], "", "x" * 1000 + "boom\n")
+        return result(5.0, 20.0)
+
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair, "export", lambda rev, target: "0" * 40)
+    monkeypatch.setattr(bench_pair, "host_probe", lambda checkout, env: 30.0)
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    monkeypatch.setattr(bench_pair, "worktree_state", lambda root: ("1" * 40, False))
+    code = bench_pair.main(
+        ["--parent", "HEAD~1", "--workload", "season", "--label", "x", "--pairs", "3"]
+    )
+    assert code == 1
+    assert len(calls) == 3
+    report = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert [(run["pair"], run["side"]) for run in report["runs"]] == [
+        (0, "parent"), (0, "change"),
+    ]
+    # pair 1 runs the change first
+    first = report["runs"][0]["seed"]
+    assert report["failed"] == {
+        "trace": 0, "pair": 1, "seed": first + 1, "side": "change",
+        "exit_code": 3, "stderr": ("x" * 1000 + "boom\n")[-800:],
+    }
+    assert report["summary"]["trace0"]["latency_p50_ms"]["pairs"] == 1

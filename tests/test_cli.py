@@ -155,6 +155,7 @@ class TestVerify:
                 "--samples",
             ),
             (("--mc", "--n", "1000", "--samples", str(10**8), "--seed", "1"), "--samples"),
+            (("--mc", "--n", "1", "--samples", "10", "--seed", "1"), "--n"),
         ],
     )
     def test_out_of_range_flags_exit_two_before_any_work(
@@ -209,6 +210,47 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in out
+
+
+    def test_closed_form_mismatch_exits_one(self, capsys, monkeypatch):
+        from tableguess import cli, permstats
+
+        exact = permstats.score_stats
+
+        def skewed(n):
+            stats = exact(n)
+            return permstats.ScoreStats(
+                **{**vars(stats), "variance_score": stats.variance_score + 1}
+            )
+
+        monkeypatch.setattr(cli.permstats, "score_stats", skewed)
+        code, out, _ = run(capsys, "verify", "--exact", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "n=3 expected_score: PASS",
+            "n=3 variance_score: FAIL (enumerated 20/9, closed form 29/9)",
+            "n=3 max_score: PASS",
+            "n=3 worst_count: PASS",
+        ]
+
+    def test_exact_and_mc_output_is_pinned(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--exact", "2..3", "--mc", "--n", "4", "--samples", "100",
+            "--seed", "1",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "n=2 expected_score: PASS\n"
+            "n=2 variance_score: PASS\n"
+            "n=2 max_score: PASS\n"
+            "n=2 worst_count: PASS\n"
+            "n=3 expected_score: PASS\n"
+            "n=3 variance_score: PASS\n"
+            "n=3 max_score: PASS\n"
+            "n=3 worst_count: PASS\n"
+            "n=4 mc_mean_mae: PASS (sample 1.295000, expected 1.250000, "
+            "tolerance 0.156125, samples 100, seed 1)\n"
+        )
 
 
 class TestMae:

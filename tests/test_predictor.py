@@ -151,6 +151,22 @@ class TestEvaluateSeason:
                 assert by_key[(crossing, strategy)] < cutoff
                 assert all(by_key[(rnd, strategy)] >= cutoff for rnd in range(1, crossing))
 
+    @pytest.mark.parametrize(
+        "fraction, rounds",
+        [
+            # round 1's MAE of 26/7 equals 0.8 x 65/14
+            (0.8, {"rank": 6, "gd": 5}),
+            # gd's MAE at rounds 19 and 20 is 13/7, equal to 0.4 x 65/14
+            (0.4, {"rank": 20, "gd": 21}),
+        ],
+    )
+    def test_a_float_fraction_is_read_as_its_decimal(
+        self, synthetic_dataset, fraction, rounds
+    ):
+        report = evaluate_season(synthetic_dataset, baseline_fraction=fraction)
+        assert report.threshold_rounds == rounds
+        assert report.baseline_fraction == fraction
+
     def test_deterministic(self, synthetic_dataset):
         assert evaluate_season(synthetic_dataset) == evaluate_season(synthetic_dataset)
 

@@ -15,7 +15,10 @@ starts in that side's environment. The host switches between states
 whose speeds differ by 2x or more, so the probe lets files from different
 states be read against each other. The file records the machine, the
 seeds, every result line with its probe and, per metric, each side's
-median and quartiles and the pairs the change won.
+median and quartiles and the pairs the change won. If a run exits
+non-zero, no more runs start: the file is written with the runs so far
+and a ``failed`` entry naming that run, its exit code and the tail of
+its stderr, and the tool exits 1.
 """
 
 from __future__ import annotations
@@ -82,8 +85,7 @@ def run_once(checkout: Path, env: dict, workload: str, seed: int, seconds: int, 
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, env=env, capture_output=True, text=True,
     )
-    if proc.returncode != 0:
-        raise RuntimeError(f"run.py in {checkout} exited {proc.returncode}: {proc.stderr[-800:]}")
+    proc.check_returncode()
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -171,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     first = secrets.randbelow(10**6)
     plan = [(0, i) for i in range(args.pairs)] + [(1, i) for i in range(args.trace_pairs)]
     runs = []
+    failed = None
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         parent_dir = Path(tmp) / "parent"
         sha = export(args.parent, parent_dir)
@@ -179,21 +182,33 @@ def main(argv: list[str] | None = None) -> int:
         for side in SIDES:
             env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
             envs[side] = {**env, "PYTHONPYCACHEPREFIX": str(Path(tmp) / f"pycache-{side}")}
-        for trace, pair in plan:
+        schedule = [
+            (trace, pair, side)
+            for trace, pair in plan
+            for side in (SIDES if pair % 2 == 0 else SIDES[::-1])
+        ]
+        for trace, pair, side in schedule:
             seed = first + pair
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                probe = host_probe(checkouts[side], envs[side])
+            probe = host_probe(checkouts[side], envs[side])
+            try:
                 result = run_once(checkouts[side], envs[side], args.workload, seed, seconds, trace)
-                runs.append({
+            except subprocess.CalledProcessError as exc:
+                # keep the runs so far: the report is written with this entry
+                failed = {
                     "trace": trace, "pair": pair, "seed": seed, "side": side,
-                    "host_probe_ms": probe, "result": result,
-                })
-                print(
-                    f"trace {trace} pair {pair} seed {seed} {side}: correct {result['correct']},"
-                    f" probe {probe:.1f} ms",
-                    file=sys.stderr,
-                )
+                    "exit_code": exc.returncode, "stderr": exc.stderr[-800:],
+                }
+                print(f"{side} run of pair {pair} exited {exc.returncode}", file=sys.stderr)
+                break
+            runs.append({
+                "trace": trace, "pair": pair, "seed": seed, "side": side,
+                "host_probe_ms": probe, "result": result,
+            })
+            print(
+                f"trace {trace} pair {pair} seed {seed} {side}: correct {result['correct']},"
+                f" probe {probe:.1f} ms",
+                file=sys.stderr,
+            )
     head, uncommitted = worktree_state(ROOT)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     report = {
@@ -208,10 +223,12 @@ def main(argv: list[str] | None = None) -> int:
         "host_probe_ms": probe_summary(runs),
         "summary": summarize(runs, better),
     }
+    if failed is not None:
+        report["failed"] = failed
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(out)
-    return 0
+    return 0 if failed is None else 1
 
 
 if __name__ == "__main__":

@@ -3,12 +3,20 @@
 Both are verification oracles for the closed forms in ``permstats``; no
 product path runs them.
 
-Enumeration builds all n! permutations at once as an int8 array, by
-insertion: the rows for n come from the rows for n-1 with the value n-1
-inserted at each of the n positions. It is still brute force over every
-permutation, so it stays independent of the closed forms. Because the
-whole array is held in memory, n is capped at ``ORACLE_MAX_N`` = 10 from
-``permstats`` (10! rows of 10 bytes, 36 MB).
+Both store permutations positions-major, one permutation per column, and
+score them with one reduction, ``_footrule_scores``: it subtracts each
+position's index and takes ``abs`` in place, then sums the columns into
+the smallest signed type that holds the largest score n^2 / 2 (int8 up to
+n = 15, int16 up to 255, int32 up to 65535, int64 above). The sum is
+exact, as every partial sum lies between 0 and the column's score.
+
+Enumeration builds all n! permutations at once as an (n, n!) int8 array,
+by insertion: the columns for n come from the columns for n-1 with the
+value n-1 inserted at each of the n positions, each copy along the
+contiguous last axis. It is still brute force over every permutation, so
+it stays independent of the closed forms. Because the whole array is held
+in memory, n is capped at ``ORACLE_MAX_N`` = 10 from ``permstats`` (10!
+permutations of 10 bytes, 36 MB).
 
 Randomness is counter-based: the value consumed at shuffle step ``i`` of
 sample ``s`` is a SplitMix64-style hash of ``(seed, s, i, retry)``, so
@@ -31,9 +39,8 @@ samples at n = 30000). The sample cap binds up to n = 80; the byte limit
 allows 8090 samples at n = 81 and 1024 at n = 640. The cap keeps a small
 league's block, and with it the sampler's peak memory, at a quarter of
 what the byte limit allows (1.5 rather than 4.6 MiB traced at n = 20).
-The moments are exact for any n: each score is an int64 sum of
-int32 distances, and sums and squares are taken in Python ints over the
-distinct scores of a block.
+The moments are exact for any n: sums and squares are taken in Python
+ints over the distinct scores of a block.
 """
 
 from __future__ import annotations
@@ -130,10 +137,7 @@ def mc_score_moments(
                 np.take(flat, w, out=vj)
                 flat[w] = perm[i]
                 perm[i] = vj
-        perm -= idx[:, None]
-        np.abs(perm, out=perm)
-        scores = perm.sum(axis=0, dtype=np.int64)
-        values, counts = np.unique(scores, return_counts=True)
+        values, counts = np.unique(_footrule_scores(perm), return_counts=True)
         for v, c in zip(values.tolist(), counts.tolist()):
             total += v * c
             total_sq += v * v * c
@@ -204,20 +208,30 @@ def _redraw(
         np.copyto(u, alt, where=bad)
 
 
+def _footrule_scores(perm: np.ndarray) -> np.ndarray:
+    """The footrule score of each column of a positions x permutations int
+    array, which is overwritten. Scores are summed in the smallest signed
+    type that holds n^2 / 2."""
+    n = perm.shape[0]
+    perm -= np.arange(n, dtype=perm.dtype)[:, None]
+    np.abs(perm, out=perm)
+    return perm.sum(axis=0, dtype=np.min_scalar_type(-(n * n // 2) - 1))
+
+
 def _all_permutations(n: int) -> np.ndarray:
-    """Every permutation of 0..n-1 as one row of an (n!, n) int8 array."""
+    """Every permutation of 0..n-1 as one column of an (n, n!) int8 array."""
     if n > ORACLE_MAX_N:
         raise ValueError(f"enumeration is capped at n = {ORACLE_MAX_N}, got {n}")
-    rows = np.zeros((1, 0), dtype=np.int8)
+    cols = np.zeros((0, 1), dtype=np.int8)
     for k in range(n):
-        # insert the value k at each position p of every row of length k
-        grown = np.empty((k + 1, rows.shape[0], k + 1), dtype=np.int8)
+        # insert the value k at each position p of every column of length k
+        grown = np.empty((k + 1, k + 1, cols.shape[1]), dtype=np.int8)
         for p in range(k + 1):
-            grown[p, :, :p] = rows[:, :p]
-            grown[p, :, p] = k
-            grown[p, :, p + 1 :] = rows[:, p:]
-        rows = grown.reshape(-1, k + 1)
-    return rows
+            grown[:p, p] = cols[:p]
+            grown[p, p] = k
+            grown[p + 1 :, p] = cols[p:]
+        cols = grown.reshape(k + 1, -1)
+    return cols
 
 
 def score_distribution_counts(n: int) -> np.ndarray:
@@ -225,10 +239,6 @@ def score_distribution_counts(n: int) -> np.ndarray:
 
     Index s holds the number of permutations with score s; odd indices stay 0.
     """
-    rows = _all_permutations(n)
-    rows -= np.arange(n, dtype=np.int8)
-    np.abs(rows, out=rows)
-    scores = rows.sum(axis=1, dtype=np.int16)
-    del rows  # free the rows before bincount copies the scores to intp
-    return np.bincount(scores, minlength=n * n // 2 + 1)
-
+    # the permutations are freed when the scores are returned, before
+    # bincount copies the scores to intp
+    return np.bincount(_footrule_scores(_all_permutations(n)), minlength=n * n // 2 + 1)

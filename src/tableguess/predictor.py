@@ -81,8 +81,14 @@ def evaluate_season(
     as its shortest decimal, so 0.8 is 4/5."""
     if not 0.0 < baseline_fraction:
         raise ValueError(f"baseline fraction must be positive, got {baseline_fraction}")
-    if not math.isfinite(baseline_fraction):
+    if isinstance(baseline_fraction, float) and not math.isfinite(baseline_fraction):
         raise ValueError(f"baseline fraction must be finite, got {baseline_fraction}")
+    try:
+        as_float = float(baseline_fraction)
+    except OverflowError:
+        raise ValueError(
+            f"baseline fraction is too large for a float, got {baseline_fraction}"
+        ) from None
     frame = dataset._frame
     n = len(dataset.teams)
     baseline = permstats.score_stats(n).expected_mae
@@ -127,7 +133,7 @@ def evaluate_season(
         season=dataset.season,
         n=n,
         baseline_expected_mae=baseline,
-        baseline_fraction=float(baseline_fraction),
+        baseline_fraction=as_float,
         records=tuple(records),
         threshold_rounds=threshold_rounds,
         gd_better_rounds=tuple(gd_better),

@@ -74,7 +74,9 @@ def test_unpaired_runs_and_modes_are_kept_apart():
 
 
 def test_machine_names_the_host():
-    assert set(bench_pair.machine()) == {"cpu", "cores", "python", "numpy"}
+    host = bench_pair.machine()
+    assert set(host) == {"cpu", "cores", "python", "numpy", "dont_write_bytecode"}
+    assert host["dont_write_bytecode"] == bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
 
 
 def test_probe_summary_spreads_each_side():
@@ -97,19 +99,20 @@ def test_host_probe_times_bare_interpreter_starts():
     assert 0.5 < probe < 10_000
 
 
-def test_untracked_files_are_not_uncommitted_changes(tmp_path):
-    def git(*args: str) -> str:
-        return subprocess.run(
-            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
-            cwd=tmp_path, check=True, capture_output=True, text=True,
-        ).stdout.strip()
+def git(root: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+        cwd=root, check=True, capture_output=True, text=True,
+    ).stdout.strip()
 
-    git("init", "-q")
+
+def test_untracked_files_are_not_uncommitted_changes(tmp_path):
+    git(tmp_path, "init", "-q")
     (tmp_path / "code.py").write_text("x = 1\n")
-    git("add", "code.py")
-    git("commit", "-q", "-m", "first")
+    git(tmp_path, "add", "code.py")
+    git(tmp_path, "commit", "-q", "-m", "first")
     (tmp_path / "BENCH_x.json").write_text("{}\n")
-    assert bench_pair.worktree_state(tmp_path) == (git("rev-parse", "HEAD"), False)
+    assert bench_pair.worktree_state(tmp_path) == (git(tmp_path, "rev-parse", "HEAD"), False)
     (tmp_path / "code.py").write_text("x = 2\n")
     assert bench_pair.worktree_state(tmp_path)[1] is True
 
@@ -128,6 +131,7 @@ def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pair, "export", lambda rev, target: "0" * 40)
+    monkeypatch.setattr(bench_pair, "copy_tracked", lambda root, target: None)
     monkeypatch.setattr(bench_pair, "host_probe", lambda checkout, env: 30.0)
     monkeypatch.setattr(bench_pair, "run_once", run_once)
     monkeypatch.setattr(bench_pair, "worktree_state", lambda root: ("1" * 40, False))
@@ -147,3 +151,43 @@ def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch):
         "exit_code": 3, "stderr": ("x" * 1000 + "boom\n")[-800:],
     }
     assert report["summary"]["trace0"]["latency_p50_ms"]["pairs"] == 1
+
+
+def test_both_sides_run_copies_in_the_callers_environment(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": [], "per_layer": []}\n'
+    )
+    (tmp_path / "code.py").write_text("x = 1\n")
+    git(tmp_path, "init", "-q")
+    git(tmp_path, "add", "BENCHMARK.json", "code.py")
+    git(tmp_path, "commit", "-q", "-m", "first")
+    (tmp_path / "__pycache__").mkdir()
+    (tmp_path / "__pycache__" / "code.cpython-311.pyc").write_bytes(b"")
+    # the change as it is on disk when the runs start
+    (tmp_path / "code.py").write_text("x = 2\n")
+    probes, calls = [], []
+
+    def run_once(checkout, env, workload, seed, seconds, trace):
+        calls.append((checkout, env, (checkout / "code.py").read_text(),
+                      (checkout / "__pycache__").exists()))
+        # an edit made while the runs go reaches neither the change nor the record
+        (tmp_path / "code.py").write_text("x = 1\n")
+        return result(5.0, 20.0)
+
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair, "host_probe", lambda checkout, env: probes.append(env) or 30.0)
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    code = bench_pair.main(
+        ["--parent", "HEAD", "--workload", "season", "--label", "x", "--pairs", "2"]
+    )
+    assert code == 0
+    assert all(env == os.environ for env in probes + [call[1] for call in calls])
+    # pair 0 runs the parent first, pair 1 the change
+    parent, change = calls[:2]
+    assert calls == [parent, change, change, parent]
+    assert change[0] not in (tmp_path, parent[0])
+    assert (parent[2], change[2]) == ("x = 1\n", "x = 2\n")
+    assert not parent[3] and not change[3]
+    report = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert report["change"] == {"head": git(tmp_path, "rev-parse", "HEAD"), "uncommitted_changes": True}
+    assert bench_pair.worktree_state(tmp_path)[1] is False

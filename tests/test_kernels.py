@@ -172,7 +172,8 @@ class TestSampler:
         assert _kernels.mc_score_moments(n, samples, seed, chunk) == moments
 
     def test_matches_the_python_reference_sampler(self):
-        for n, samples, seed in ((2, 5, 0), (7, 40, 3), (20, 25, 42)):
+        # scores near 3.3e9 at n = 100000 take the int64 sum
+        for n, samples, seed in ((2, 5, 0), (7, 40, 3), (20, 25, 42), (100_000, 2, 5)):
             want, _ = _reference_moments(n, samples, seed)
             assert _kernels.mc_score_moments(n, samples, seed) == want
 
@@ -201,7 +202,7 @@ class TestSampler:
 class TestEnumeration:
     @pytest.mark.parametrize("n", range(0, 8))
     def test_rows_are_every_permutation_once(self, n):
-        rows = _kernels._all_permutations(n)
+        rows = _kernels._all_permutations(n).T
         assert rows.shape == (math.factorial(n), n)
         assert len({row.tobytes() for row in rows}) == math.factorial(n)
         assert (np.sort(rows, axis=1) == np.arange(n)).all()
@@ -220,7 +221,20 @@ class TestEnumeration:
         tracemalloc.start()
         try:
             _kernels.score_distribution_counts(9)
-            _, peak = tracemalloc.get_traced_memory()
+            _, peak9 = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _kernels.score_distribution_counts(10)
+            _, peak10 = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 << 20
+        assert peak9 < 16 << 20
+        # 10! permutations of 10 bytes take 34.6 MiB; summed row by row
+        # into int16 scores they peaked at 41.6 MiB
+        assert peak10 < 40 << 20
+
+    @pytest.mark.parametrize("n", [255, 256, 65535, 65536])
+    def test_scores_reach_the_maximum_without_wrapping(self, n):
+        # the reversal scores n^2 / 2, one above what int16 holds at n = 256
+        # and int32 at n = 65536
+        reversal = np.arange(n - 1, -1, -1, dtype=np.int32)[:, None]
+        assert _kernels._footrule_scores(reversal).tolist() == [n * n // 2]

@@ -176,6 +176,13 @@ class TestEvaluateSeason:
         with pytest.raises(ValueError, match="must be finite, got inf"):
             evaluate_season(synthetic_dataset, baseline_fraction=math.inf)
 
+    @pytest.mark.parametrize(
+        "fraction", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"]
+    )
+    def test_a_fraction_too_large_for_a_float_is_refused(self, synthetic_dataset, fraction):
+        with pytest.raises(ValueError, match=f"too large for a float, got {fraction}"):
+            evaluate_season(synthetic_dataset, baseline_fraction=fraction)
+
     def test_random_guess_control_matches_expectation(self):
         # a strategy that guesses uniformly at random should average E[MAE]
         stats = permstats.score_stats(14)

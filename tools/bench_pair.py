@@ -4,21 +4,24 @@
       [--pairs 10] [--trace-pairs 0]
 
 The parent revision's committed files are exported with ``git archive``
-into a temporary directory, removed afterwards; the change is the working
-tree. Each side writes its bytecode to its own fresh cache there, so
-neither starts from compiled files the other lacks. Each pair runs ``perfbench/run.py`` once on each side, for
-BENCHMARK.json's ``run_seconds``, with the same fresh seed, and alternates
-which side runs first; ``--trace-pairs`` more pairs run with ``--trace 1``
-for the per-layer metrics. Runs go one at a time. Before each run the
-host is probed: the median wall time of five bare ``python -c pass``
-starts in that side's environment. The host switches between states
-whose speeds differ by 2x or more, so the probe lets files from different
-states be read against each other. The file records the machine, the
-seeds, every result line with its probe and, per metric, each side's
-median and quartiles and the pairs the change won. If a run exits
-non-zero, no more runs start: the file is written with the runs so far
-and a ``failed`` entry naming that run, its exit code and the tail of
-its stderr, and the tool exits 1.
+into a temporary directory, removed afterwards. Before the first run the
+working tree's tracked files, as they are on disk, are copied beside
+them as the change, and the tree's state is read then, so edits made
+while the runs go neither reach the change nor mark the file. Both sides
+run in the caller's environment, unchanged, from checkouts that start
+without compiled bytecode. Each pair runs ``perfbench/run.py`` once on
+each side, for BENCHMARK.json's ``run_seconds``, with the same fresh
+seed, and alternates which side runs first; ``--trace-pairs`` more pairs
+run with ``--trace 1`` for the per-layer metrics. Runs go one at a time.
+Before each run the host is probed: the median wall time of five bare
+``python -c pass`` starts in that side's checkout. The host switches
+between states whose speeds differ by 2x or more, so the probe lets
+files from different states be read against each other. The file
+records the machine, the seeds, every result line with its probe and,
+per metric, each side's median and quartiles and the pairs the change
+won. If a run exits non-zero, no more runs start: the file is written
+with the runs so far and a ``failed`` entry naming that run, its exit
+code and the tail of its stderr, and the tool exits 1.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import os
 import platform
 import secrets
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,7 +48,9 @@ PROBE_STARTS = 5
 
 
 def machine() -> dict:
-    """CPU model, cores, and the Python and numpy versions."""
+    """CPU model, cores, the Python and numpy versions, and whether
+    ``PYTHONDONTWRITEBYTECODE`` is set, which makes every process compile
+    what it imports."""
     cpu = platform.processor() or platform.machine()
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -62,6 +68,7 @@ def machine() -> dict:
         "cores": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy,
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
     }
 
 
@@ -76,6 +83,19 @@ def export(rev: str, target: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(target, filter="data")
     return sha
+
+
+def copy_tracked(root: Path, target: Path) -> None:
+    """Copy the files git tracks under ``root``, as they are on disk, to
+    ``target``; tracked files deleted from the disk are left out."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z"], cwd=root, check=True, capture_output=True, text=True,
+    ).stdout
+    for name in filter(None, listed.split("\0")):
+        source = root / name
+        if source.is_file():
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target / name)
 
 
 def run_once(checkout: Path, env: dict, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -175,13 +195,11 @@ def main(argv: list[str] | None = None) -> int:
     runs = []
     failed = None
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
-        parent_dir = Path(tmp) / "parent"
-        sha = export(args.parent, parent_dir)
-        checkouts = {"parent": parent_dir, "change": ROOT}
-        envs = {}
-        for side in SIDES:
-            env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-            envs[side] = {**env, "PYTHONPYCACHEPREFIX": str(Path(tmp) / f"pycache-{side}")}
+        checkouts = {side: Path(tmp) / side for side in SIDES}
+        sha = export(args.parent, checkouts["parent"])
+        copy_tracked(ROOT, checkouts["change"])
+        head, uncommitted = worktree_state(ROOT)
+        env = dict(os.environ)
         schedule = [
             (trace, pair, side)
             for trace, pair in plan
@@ -189,9 +207,9 @@ def main(argv: list[str] | None = None) -> int:
         ]
         for trace, pair, side in schedule:
             seed = first + pair
-            probe = host_probe(checkouts[side], envs[side])
+            probe = host_probe(checkouts[side], env)
             try:
-                result = run_once(checkouts[side], envs[side], args.workload, seed, seconds, trace)
+                result = run_once(checkouts[side], env, args.workload, seed, seconds, trace)
             except subprocess.CalledProcessError as exc:
                 # keep the runs so far: the report is written with this entry
                 failed = {
@@ -209,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
                 f" probe {probe:.1f} ms",
                 file=sys.stderr,
             )
-    head, uncommitted = worktree_state(ROOT)
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     report = {
         "label": args.label,

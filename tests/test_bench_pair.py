@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import resource
 import subprocess
 from pathlib import Path
 
@@ -191,3 +192,17 @@ def test_both_sides_run_copies_in_the_callers_environment(tmp_path, monkeypatch)
     report = json.loads((tmp_path / "BENCH_x.json").read_text())
     assert report["change"] == {"head": git(tmp_path, "rev-parse", "HEAD"), "uncommitted_changes": True}
     assert bench_pair.worktree_state(tmp_path)[1] is False
+
+
+def test_a_run_does_not_read_the_tools_peak_memory(tmp_path):
+    # a stand-in run.py whose result is its own peak RSS
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, resource\n"
+        "print(json.dumps({'peak': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))\n"
+    )
+    held = b"x" * (64 << 20)  # raises this process's peak RSS for good
+    del held
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = bench_pair.run_once(tmp_path, dict(os.environ), "season", 1, 1, 0)["peak"]
+    assert peak < own / 2

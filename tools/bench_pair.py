@@ -12,7 +12,9 @@ run in the caller's environment, unchanged, from checkouts that start
 without compiled bytecode. Each pair runs ``perfbench/run.py`` once on
 each side, for BENCHMARK.json's ``run_seconds``, with the same fresh
 seed, and alternates which side runs first; ``--trace-pairs`` more pairs
-run with ``--trace 1`` for the per-layer metrics. Runs go one at a time.
+run with ``--trace 1`` for the per-layer metrics. Runs go one at a time,
+each started from a small launcher process, so that its peak RSS is not
+this tool's.
 Before each run the host is probed: the median wall time of five bare
 ``python -c pass`` starts in that side's checkout. The host switches
 between states whose speeds differ by 2x or more, so the probe lets
@@ -98,11 +100,20 @@ def copy_tracked(root: Path, target: Path) -> None:
             shutil.copy2(source, target / name)
 
 
+# Starts a command as its child and exits with its code. perfbench reads
+# its peak RSS from getrusage, and Linux keeps a process's peak across
+# exec, so a run started straight from this tool, which holds ~22 MB,
+# reads at least that; a run started from the launcher does not.
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
 def run_once(checkout: Path, env: dict, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``; its last stdout line, parsed."""
+    """One ``perfbench/run.py`` run in ``checkout``, started by ``LAUNCHER``;
+    its last stdout line, parsed."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+        [sys.executable, "-c", LAUNCHER, sys.executable, "perfbench/run.py",
+         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=checkout, env=env, capture_output=True, text=True,
     )
     proc.check_returncode()

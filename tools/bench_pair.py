@@ -14,11 +14,10 @@ each side, for BENCHMARK.json's ``run_seconds``, with the same fresh
 seed, and alternates which side runs first; ``--trace-pairs`` more pairs
 run with ``--trace 1`` for the per-layer metrics. Runs go one at a time,
 each started from a small launcher process, so that its peak RSS is not
-this tool's.
-Before each run the host is probed: the median wall time of five bare
-``python -c pass`` starts in that side's checkout. The host switches
-between states whose speeds differ by 2x or more, so the probe lets
-files from different states be read against each other. The file
+this tool's. Before each run the host is probed: the median wall time of
+five bare ``python -c pass`` starts in that side's checkout. The host
+switches between states whose speeds differ by 2x or more, so the probe
+lets files from different states be read against each other. The file
 records the machine, the seeds, every result line with its probe and,
 per metric, each side's median and quartiles and the pairs the change
 won. If a run exits non-zero, no more runs start: the file is written

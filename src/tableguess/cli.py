@@ -108,6 +108,9 @@ def _table_teams(text: str) -> list[str]:
         teams = json.loads(text)
         if not isinstance(teams, list) or not all(isinstance(t, str) for t in teams):
             raise ValueError("JSON table must be an array of team names")
+        for position, team in enumerate(teams, start=1):
+            if not team.strip():
+                raise ValueError(f"position {position}: team must not be blank")
     else:
         reader = csv.reader(text.splitlines())
         entries = []
@@ -124,11 +127,15 @@ def _table_teams(text: str) -> list[str]:
                 if len(row) != 2:
                     raise ValueError(f"{where}: malformed row {row!r}")
                 try:
-                    entries.append((int(row[0]), row[1].strip()))
+                    position = int(row[0])
                 except ValueError:
                     raise ValueError(
                         f"{where}: position must be an integer, got {row[0]!r}"
                     ) from None
+                team = row[1].strip()
+                if not team:
+                    raise ValueError(f"{where}: team must not be blank")
+                entries.append((position, team))
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
         positions = sorted(pos for pos, _ in entries)

@@ -538,6 +538,23 @@ class TestTableFiles:
         code, _, err = run(capsys, "mae", "--pred", str(bad), "--actual", str(bad))
         assert (code, err) == (2, f"error: {info.value}\n")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("position,team\n1,\n2,B\n", "line 2"),
+            ("position,team\n1,A\n2, \t\n", "line 3"),
+            ('["", "B"]', "position 1"),
+            ('["A", " \\t"]', "position 2"),
+        ],
+        ids=["csv-empty", "csv-whitespace", "json-empty", "json-whitespace"],
+    )
+    def test_blank_team_names_exit_two(self, capsys, tmp_path, text, where):
+        bad = tmp_path / "blank.table"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "mae", "--pred", str(bad), "--actual", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: {where}: team must not be blank\n"
+
     def test_positions_may_come_unordered(self, tmp_path):
         table = tmp_path / "shuffled.csv"
         table.write_text("position,team\n2,B\n1,A\n3,C\n", encoding="utf-8")

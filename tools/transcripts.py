@@ -97,10 +97,12 @@ COMMANDS = [
     ("refuse-table-csv-gap", ["mae", "--pred", "inputs/gap_positions.csv", "--actual", ACTUAL]),
     ("refuse-table-csv-header", ["mae", "--pred", PRED, "--actual", "inputs/bad_table_header.csv"]),
     ("refuse-table-csv-empty", ["mae", "--pred", "inputs/empty.csv", "--actual", ACTUAL]),
+    ("refuse-table-csv-blank-team", ["mae", "--pred", "inputs/blank_team.csv", "--actual", "inputs/ab.csv"]),
     ("refuse-table-json-truncated", ["mae", "--pred", "inputs/truncated.json", "--actual", ACTUAL]),
     ("refuse-table-json-object", ["mae", "--pred", "inputs/not_an_array.json", "--actual", ACTUAL]),
     ("refuse-table-json-numbers", ["mae", "--pred", "inputs/numbers.json", "--actual", ACTUAL]),
     ("refuse-table-json-duplicate", ["mae", "--pred", "inputs/duplicate.json", "--actual", ACTUAL]),
+    ("refuse-table-json-blank-team", ["mae", "--pred", "inputs/ab.csv", "--actual", "inputs/blank_team.json"]),
     ("refuse-table-json-one-team", ["mae", "--pred", "inputs/one_team.json", "--actual", ACTUAL]),
     ("refuse-table-not-utf8", ["mae", "--pred", "inputs/not_utf8_table.csv", "--actual", ACTUAL]),
     ("refuse-tables-lengths", ["mae", "--pred", "inputs/ab.csv", "--actual", ACTUAL]),

@@ -10,13 +10,15 @@ to build valid permutations.
 A match file is parsed in one pass. Each CSV row is read once: its three
 integers are converted in one step, its record is filled in place of being
 built by ``__init__``, and the one check that ``MatchRecord`` also runs is
-applied to it once. Whole-season conditions (one season id, no team twice
-in a round) are tested by comparing set sizes; only a file that fails them
-is scanned record by record to name the first bad line. A leading UTF-8
-byte order mark is dropped, and blank team names and season ids are
-refused.
+applied to it once. A leading UTF-8 byte order mark is dropped, and
+blank team names and season ids are refused.
 
-A dataset is tallied once, when it is built: it carries a ``SeasonFrame``
+A dataset's one field is its matches. Every dataset, built or parsed,
+passes one season check: at least one match, one season id, and no team
+twice in a round. It compares set sizes; only matches that fail it are
+scanned one by one to name the first bad one, by its line in a file. The
+season id, the teams and the last round are read from the matches. The
+dataset is tallied once, when it is built: it carries a ``SeasonFrame``
 of cumulative per-team counts and table orders after each round, which
 the standings functions, ``predictor.evaluate_season`` and
 ``regression.r2_curve`` read. The frame is plain Python lists of ints, so
@@ -194,17 +196,16 @@ def _places(orders: list[list[int]]) -> list[list[int]]:
 
 
 class SeasonDataset(Record):
-    """One season's matches. Its ``_frame``, the ``SeasonFrame`` tallied
-    from them, is built with it and is not a field."""
+    """One season's matches, its one field. Building it checks them as one
+    season: at least one match, one season id, and no team twice in a
+    round. ``season`` (that id), ``teams`` (the names, sorted) and
+    ``rounds`` (the largest round number) are read from the matches, and
+    ``_frame`` is the ``SeasonFrame`` tallied from them; none is a field."""
 
-    season: str
-    teams: tuple[str, ...]
     matches: tuple[MatchRecord, ...]
-    rounds: int
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        object.__setattr__(self, "_frame", SeasonFrame(self.teams, self.matches))
+    def __init__(self, matches: Iterable[MatchRecord]) -> None:
+        _fill(self, tuple(matches), None)
 
 
 class StandingsRow(Record):
@@ -227,14 +228,13 @@ class StandingsTable(Record):
 
 
 def build_dataset(matches: Iterable[MatchRecord]) -> SeasonDataset:
-    """Assemble and validate a dataset from already-parsed match records."""
-    return _assemble(tuple(matches), None)
+    """The dataset of already-parsed match records, checked as one season."""
+    return SeasonDataset(matches)
 
 
-def _assemble(
-    records: tuple[MatchRecord, ...], lines: Sequence[int] | None
-) -> SeasonDataset:
-    """Check for one season id and one match per team and round; an error
+def _fill(dataset: SeasonDataset, records: tuple, lines: Sequence[int] | None) -> SeasonDataset:
+    """Check ``records``, a tuple of matches, as one season, store them in
+    ``dataset`` with the values read from them, and return it. An error
     about ``records[i]`` names ``lines[i]`` when lines are given."""
     if not records:
         raise MatchFileError("no matches given")
@@ -261,12 +261,12 @@ def _assemble(
                 seen.add(away)
                 continue
             raise MatchFileError(problem if lines is None else f"line {lines[i]}: {problem}")
-    return SeasonDataset(
-        season=season,
-        teams=tuple(sorted({*homes, *aways})),
-        matches=records,
-        rounds=max(rounds),
+    teams = tuple(sorted({*homes, *aways}))
+    frame = SeasonFrame(teams, records)
+    vars(dataset).update(
+        matches=records, season=season, teams=teams, rounds=max(rounds), _frame=frame
     )
+    return dataset
 
 
 def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
@@ -293,7 +293,7 @@ def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
 def _read_matches(reader) -> SeasonDataset:
     """The dataset of a ``csv.reader``'s rows. Each row is read once and each
     check runs once: a record is filled through its slots, not built by
-    ``__init__``, and then checked."""
+    ``__init__``, and then checked, and so is the dataset."""
     header = next(reader, None)
     if header is None:
         raise MatchFileError("empty input: no header row")
@@ -344,7 +344,7 @@ def _read_matches(reader) -> SeasonDataset:
         lines.append(reader.line_num)
     if not records:
         raise MatchFileError("empty input: no match rows")
-    return _assemble(tuple(records), lines)
+    return _fill(new(SeasonDataset), tuple(records), lines)
 
 
 def _tables(dataset: SeasonDataset, rounds: Sequence[int]) -> list[StandingsTable]:

@@ -50,9 +50,9 @@ def _unmix64(z: int) -> int:
     return _unxorshift(z, 30)
 
 
-def _reference_moments(n: int, samples: int, seed: int) -> tuple[tuple[int, ...], int]:
-    """The documented sampler one sample at a time in Python ints:
-    ((sum, sum of squares, min, max), number of rejected draws)."""
+def _reference_scores(n: int, samples: int, seed: int) -> tuple[list[int], int]:
+    """The documented sampler one sample at a time in Python ints: (the
+    score of each sample, number of rejected draws)."""
     h = _mix64((seed & MASK) ^ SEED_SALT)
     scores = []
     rejected = 0
@@ -71,6 +71,13 @@ def _reference_moments(n: int, samples: int, seed: int) -> tuple[tuple[int, ...]
             j = u % bound
             perm[i], perm[j] = perm[j], perm[i]
         scores.append(sum(abs(v - k) for k, v in enumerate(perm)))
+    return scores, rejected
+
+
+def _reference_moments(n: int, samples: int, seed: int) -> tuple[tuple[int, ...], int]:
+    """The reference sampler's ((sum, sum of squares, min, max), number of
+    rejected draws)."""
+    scores, rejected = _reference_scores(n, samples, seed)
     moments = (sum(scores), sum(s * s for s in scores), min(scores), max(scores))
     return moments, rejected
 

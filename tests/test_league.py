@@ -1,4 +1,5 @@
 import io
+import pickle
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ from tableguess import league
 from tableguess.league import (
     MatchFileError,
     MatchRecord,
+    SeasonDataset,
     final_standings,
     parse_matches,
     standings_at_round,
@@ -154,7 +156,41 @@ MULTI_FAULT = [
 ]
 
 
+# The season faults, as (match values, message, line in a file). A file
+# with a header and no rows is refused as an empty input before the check.
+SEASON_FAULTS = [
+    ((), "no matches given", None),
+    ([("S1", 1, "A", "B", 2, 0), ("S2", 2, "A", "B", 0, 0)], "mixed season ids 'S1' and 'S2'", 3),
+    ([("S", 1, "A", "B", 2, 0), ("S", 1, "C", "A", 1, 1)], "team 'A' appears twice in round 1", 3),
+]
+
+
 class TestRejections:
+    @pytest.mark.parametrize(
+        ("values", "message", "line"),
+        SEASON_FAULTS,
+        ids=["no-matches", "mixed-seasons", "twice-in-a-round"],
+    )
+    def test_every_route_to_a_dataset_runs_the_season_check(self, values, message, line):
+        records = [MatchRecord(*v) for v in values]
+        # a dataset pickled without its check is checked when loaded
+        forged = object.__new__(SeasonDataset)
+        vars(forged)["matches"] = tuple(records)
+        routes = (
+            SeasonDataset,
+            lambda m: SeasonDataset(matches=m),
+            league.build_dataset,
+            lambda m: pickle.loads(pickle.dumps(forged)),
+        )
+        for route in routes:
+            with pytest.raises(MatchFileError) as info:
+                route(iter(records))
+            assert str(info.value) == message
+        with pytest.raises(MatchFileError) as parsed:
+            parse_text(HEADER + "".join(",".join(map(str, v)) + "\n" for v in values))
+        want = "empty input: no match rows" if line is None else f"line {line}: {message}"
+        assert str(parsed.value) == want
+
     @pytest.mark.parametrize(("rows", "message"), REJECTIONS)
     def test_full_message(self, rows, message):
         with pytest.raises(MatchFileError) as info:

@@ -22,6 +22,7 @@ from tableguess.permstats import (
     reversal,
     score_stats,
 )
+from test_kernels import _reference_scores
 
 
 @st.composite
@@ -356,6 +357,32 @@ class TestMonteCarlo:
             monte_carlo_mae(1000, 10**8, 1)
         with pytest.raises(ValueError, match="n \\* samples must be at most"):
             monte_carlo_mae(20, permstats.MC_MAX_WORK // 20 + 1, 1)
+
+    def test_work_bound_is_two_billion_inclusive(self, monkeypatch):
+        assert permstats.MC_MAX_WORK == 2 * 10**9
+        runs = []
+
+        def stub(n, samples, seed):
+            runs.append((n, samples))
+            return 0, 0, 0, 0
+
+        monkeypatch.setattr(_kernels, "mc_score_moments", stub)
+        assert monte_carlo_mae(2, 10**9, 1).samples == 10**9
+        assert runs == [(2, 10**9)]
+        # 3 * 666666667 is one more than the bound
+        with pytest.raises(ValueError, match="n \\* samples must be at most"):
+            monte_carlo_mae(3, 666_666_667, 1)
+        assert runs == [(2, 10**9)]
+
+    @pytest.mark.parametrize("n, samples, seed", [(2, 7, 1), (7, 40, 3), (20, 25, 42)])
+    def test_summary_is_that_of_the_sampled_mae(self, n, samples, seed):
+        maes = [Fraction(score, n) for score in _reference_scores(n, samples, seed)[0]]
+        mean = sum(maes) / samples
+        summary = monte_carlo_mae(n, samples, seed)
+        assert summary.mean == mean
+        # the population variance, not the sample variance
+        assert summary.variance == sum((m - mean) ** 2 for m in maes) / samples
+        assert (summary.minimum, summary.maximum) == (min(maes), max(maes))
 
     @settings(max_examples=20)
     @given(st.integers(min_value=0, max_value=2**63))

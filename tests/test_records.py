@@ -1,6 +1,7 @@
 """Every record type is a frozen value: compared, hashed, printed and
 pickled by its fields, and built only from exactly those fields."""
 
+import io
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -13,6 +14,8 @@ from tableguess.league import (
     StandingsRow,
     StandingsTable,
     final_standings,
+    parse_matches,
+    synthetic_season,
 )
 from tableguess.permstats import (
     MonteCarloSummary,
@@ -43,7 +46,7 @@ FORECAST = RoundForecast(round=1, strategy="gd", mae=Fraction(1, 2), mse=Fractio
 # each record class with the keyword arguments of one valid instance
 SAMPLES = {
     MatchRecord: MATCH_FIELDS,
-    SeasonDataset: dict(season="s", teams=("A", "B"), matches=(MATCH,), rounds=1),
+    SeasonDataset: dict(matches=(MATCH,)),
     StandingsRow: dict(vars(ROW)),
     StandingsTable: dict(season="s", round=1, rows=(ROW,)),
     Ranking: dict(places=(2, 1, 3)),
@@ -79,8 +82,8 @@ REPRS = {
     ),
     OlsFit: "OlsFit(beta0=0.5, beta1=2.0, r_squared=None, n_points=3)",
     SeasonDataset: (
-        "SeasonDataset(season='s', teams=('A', 'B'), matches=(MatchRecord(season='s', "
-        "round=1, home_team='A', away_team='B', home_goals=2, away_goals=0),), rounds=1)"
+        "SeasonDataset(matches=(MatchRecord(season='s', round=1, home_team='A', "
+        "away_team='B', home_goals=2, away_goals=0),))"
     ),
 }
 
@@ -130,3 +133,37 @@ def test_record_is_a_frozen_value_of_its_fields(cls):
 def test_a_pickled_dataset_keeps_its_tally():
     dataset = SeasonDataset(**SAMPLES[SeasonDataset])
     assert final_standings(pickle.loads(pickle.dumps(dataset))) == final_standings(dataset)
+
+
+@pytest.mark.parametrize(
+    "dataset",
+    [
+        SeasonDataset(**SAMPLES[SeasonDataset]),
+        synthetic_season(5, seed=1),
+        # round 2 has no match, and the file lists round 3 first
+        parse_matches(
+            io.StringIO(
+                "season,round,home_team,away_team,home_goals,away_goals\n"
+                "p,3,C,A,0,0\np,1,A,B,1,0\np,1,C,D,0,2\n"
+            )
+        ),
+    ],
+    ids=["sample", "synthetic", "sparse-rounds"],
+)
+def test_season_teams_and_rounds_are_read_from_the_matches(dataset):
+    matches = dataset.matches
+    teams = {m.home_team for m in matches} | {m.away_team for m in matches}
+    for copy in (dataset, pickle.loads(pickle.dumps(dataset))):
+        assert copy == dataset
+        assert {m.season for m in matches} == {copy.season}
+        assert copy.teams == tuple(sorted(teams))
+        assert copy.rounds == max(m.round for m in matches)
+        assert final_standings(copy).round == copy.rounds
+
+
+def test_a_dataset_takes_only_its_matches():
+    assert SeasonDataset._fields == ("matches",)
+    with pytest.raises(TypeError):
+        SeasonDataset(season="s", teams=("A", "B"), matches=(MATCH,), rounds=1)
+    with pytest.raises(TypeError):
+        SeasonDataset((MATCH,), rounds=3)

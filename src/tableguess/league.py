@@ -293,7 +293,7 @@ def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
 def _read_matches(reader) -> SeasonDataset:
     """The dataset of a ``csv.reader``'s rows. Each row is read once and each
     check runs once: a record is filled through its slots, not built by
-    ``__init__``, and then checked, and so is the dataset."""
+    ``__init__``, and checked, and so is the dataset, by ``_fill``."""
     header = next(reader, None)
     if header is None:
         raise MatchFileError("empty input: no header row")

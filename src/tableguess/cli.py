@@ -91,11 +91,9 @@ def curve_records(curves: Iterable[regression.R2Curve]) -> list[dict]:
 
 
 def read_table_file(path: str | Path) -> list[str]:
-    """Read a table file: CSV ``position,team`` or a JSON array of names.
-
-    Returns the team names in table order (position 1 first). Errors name
-    the file, and the line when there is one.
-    """
+    """Read a table file, JSON if its first non-blank character is ``[`` or
+    ``{`` and CSV ``position,team`` otherwise, into its stripped team names in
+    table order. Errors name the file, and the line or position if any."""
     try:
         return _table_teams(read_text(path))
     # json raises RecursionError on deeply nested arrays
@@ -104,49 +102,49 @@ def read_table_file(path: str | Path) -> list[str]:
 
 
 def _table_teams(text: str) -> list[str]:
-    if text.lstrip().startswith("["):
-        teams = json.loads(text)
-        if not isinstance(teams, list) or not all(isinstance(t, str) for t in teams):
-            raise ValueError("JSON table must be an array of team names")
-        for position, team in enumerate(teams, start=1):
-            if not team.strip():
-                raise ValueError(f"position {position}: team must not be blank")
-    else:
-        reader = csv.reader(text.splitlines())
-        entries = []
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError("empty table file")
-            if tuple(h.strip() for h in header) != TABLE_FIELDS:
-                raise ValueError("expected header position,team")
-            for row in reader:
-                if not row:
-                    continue
-                where = f"line {reader.line_num}"
-                if len(row) != 2:
-                    raise ValueError(f"{where}: malformed row {row!r}")
-                try:
-                    position = int(row[0])
-                except ValueError:
-                    raise ValueError(
-                        f"{where}: position must be an integer, got {row[0]!r}"
-                    ) from None
-                team = row[1].strip()
-                if not team:
-                    raise ValueError(f"{where}: team must not be blank")
-                entries.append((position, team))
-        except csv.Error as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
-        positions = sorted(pos for pos, _ in entries)
-        if positions != list(range(1, len(entries) + 1)):
-            raise ValueError(f"positions must be exactly 1..{len(entries)}")
-        teams = [team for _, team in sorted(entries)]
+    """The one set of rules for both formats, in the order they are checked."""
+    entries = []
+    for where, position, name in _table_entries(text):
+        if not (team := name.strip()):
+            raise ValueError(f"{where}: team must not be blank")
+        entries.append((position, team))
+    entries.sort()
+    if [pos for pos, _ in entries] != list(range(1, len(entries) + 1)):
+        raise ValueError(f"positions must be exactly 1..{len(entries)}")
+    teams = [team for _, team in entries]
     if len(set(teams)) != len(teams):
         raise ValueError("duplicate team names")
     if len(teams) < 2:
         raise ValueError("need at least 2 teams")
     return teams
+
+
+def _table_entries(text: str) -> Iterator[tuple[str, int, str]]:
+    """``(where, position, name)`` per team; CSV rows one by one, so the first fault wins."""
+    if text.lstrip().startswith(("[", "{")):
+        teams = json.loads(text)
+        if not isinstance(teams, list) or not all(isinstance(t, str) for t in teams):
+            raise ValueError("JSON table must be an array of team names")
+        yield from ((f"position {k}", k, team) for k, team in enumerate(teams, start=1))
+        return
+    reader = csv.reader(text.splitlines())
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty table file")
+        if tuple(h.strip() for h in header) != TABLE_FIELDS:
+            raise ValueError("expected header position,team")
+        for row in filter(None, reader):
+            where = f"line {reader.line_num}"
+            if len(row) != 2:
+                raise ValueError(f"{where}: malformed row {row!r}")
+            try:
+                position = int(row[0])
+            except ValueError:
+                raise ValueError(f"{where}: position must be an integer, got {row[0]!r}") from None
+            yield where, position, row[1]
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
 
 
 def _check_n(n: int | None) -> None:
@@ -301,6 +299,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
     dataset = league.parse_matches(args.matches)
     rnd = dataset.rounds if args.round is None else args.round
+    if not 1 <= rnd <= dataset.rounds:
+        raise ValueError(f"{args.matches}: --round must be within 1..{dataset.rounds}, got {rnd}")
     table = league.standings_at_round(dataset, rnd)
     if args.strategy == predictor.STRATEGY_GD:
         order = predictor.predicted_order_by_gd(table)

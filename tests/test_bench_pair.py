@@ -74,6 +74,82 @@ def test_unpaired_runs_and_modes_are_kept_apart():
     assert summary["trace1"]["latency_p50_ms"]["change"]["median"] == 40.0
 
 
+BOUNDS = {"latency_p50_ms": 0.24}
+VERDICTS = ("gain", "within_bound", "unresolved")
+
+
+def p50_verdicts(parent: list[float], change: list[float], trace: int = 0) -> dict:
+    """The verdicts of latency_p50_ms over canned pairs of runs."""
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        runs.append(run(pair, "parent", result(p, 20.0), trace))
+        runs.append(run(pair, "change", result(c, 20.0), trace))
+    entry = bench_pair.summarize(runs, BETTER, BOUNDS)[f"trace{trace}"]["latency_p50_ms"]
+    return {key: entry[key] for key in VERDICTS if key in entry}
+
+
+# ten parent runs with median 10.0 and q3 - q1 = 0.15
+PARENT = [9.9, 10.0, 10.1, 9.8, 10.2, 10.0, 9.9, 10.1, 10.0, 10.0]
+
+
+def test_gain_needs_nine_pair_wins_and_a_gap_wider_than_the_parents_spread():
+    assert p50_verdicts(PARENT, [p - 1.0 for p in PARENT]) == {
+        "gain": True, "within_bound": True, "unresolved": False,
+    }
+    # nine wins of ten still count; eight do not
+    nine = [p - 1.0 for p in PARENT[:9]] + [PARENT[9] + 1.0]
+    assert p50_verdicts(PARENT, nine)["gain"] is True
+    eight = [p - 1.0 for p in PARENT[:8]] + [p + 1.0 for p in PARENT[8:]]
+    assert p50_verdicts(PARENT, eight)["gain"] is False
+    # ten wins, but the medians differ by 0.1, less than the spread of 0.15
+    assert p50_verdicts(PARENT, [p - 0.1 for p in PARENT])["gain"] is False
+    # a tie counts for neither side
+    assert p50_verdicts(PARENT, [PARENT[0]] + [p - 1.0 for p in PARENT[1:]])["gain"] is True
+    ties = PARENT[:2] + [p - 1.0 for p in PARENT[2:]]
+    assert p50_verdicts(PARENT, ties)["gain"] is False
+
+
+def test_within_bound_is_relative_to_the_parents_median():
+    # the bound allows 2.4 ms above the parent's median of 10.0
+    assert p50_verdicts(PARENT, [p + 2.3 for p in PARENT]) == {
+        "gain": False, "within_bound": True, "unresolved": False,
+    }
+    assert p50_verdicts(PARENT, [p + 2.5 for p in PARENT])["within_bound"] is False
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # median 10.0, q3 - q1 = 3.5, more than the bound's 2.4
+    wide = [6.0, 14.0, 8.0, 12.0, 10.0, 10.0, 7.0, 13.0, 9.0, 11.0]
+    assert p50_verdicts(wide, [p - 0.5 for p in wide]) == {
+        "gain": False, "within_bound": True, "unresolved": True,
+    }
+    # every change run beats every parent run: resolved, and a gain
+    assert p50_verdicts(wide, [5.0] * 10) == {
+        "gain": True, "within_bound": True, "unresolved": False,
+    }
+    assert p50_verdicts(wide, [6.0] * 10)["unresolved"] is True
+
+
+def test_verdicts_follow_the_better_direction():
+    # a rate one higher in every pair
+    runs = [
+        run(pair, side, result(5.0, 20.0, {"kernels.rate": {"value": value, "unit": "1/s"}}))
+        for pair, p in enumerate(PARENT)
+        for side, value in (("parent", p), ("change", p + 1.0))
+    ]
+    entry = bench_pair.summarize(runs, BETTER, {"kernels.rate": 0.24})["trace0"]["kernels.rate"]
+    assert (entry["gain"], entry["within_bound"], entry["unresolved"]) == (True, True, False)
+
+
+def test_only_untraced_end_to_end_metrics_get_verdicts():
+    assert p50_verdicts(PARENT, PARENT, trace=1) == {}
+    runs = [run(0, "parent", result(5.0, 20.0)), run(0, "change", result(4.0, 20.0))]
+    summary = bench_pair.summarize(runs, BETTER, BOUNDS)["trace0"]
+    assert "gain" in summary["latency_p50_ms"]
+    assert not set(VERDICTS) & set(summary["peak_rss_mb"])
+    assert not set(VERDICTS) & set(bench_pair.summarize(runs, BETTER)["trace0"]["latency_p50_ms"])
+
+
 def test_machine_names_the_host():
     host = bench_pair.machine()
     assert set(host) == {"cpu", "cores", "python", "numpy", "dont_write_bytecode"}

@@ -330,6 +330,15 @@ class TestMae:
         assert json.loads(out)["footrule"] == 2
         assert read_table_file(actual) == ["A", "B", "C"]
 
+    def test_padded_names_read_the_same_in_both_formats(self, capsys, tmp_path):
+        pred = tmp_path / "t.json"
+        actual = tmp_path / "t.csv"
+        pred.write_text('["A ", "B"]', encoding="utf-8")
+        actual.write_text("position,team\n1,A \n2,B\n", encoding="utf-8")
+        code, out, err = run(capsys, "mae", "--pred", str(pred), "--actual", str(actual))
+        assert (code, err) == (0, "")
+        assert next(csv.DictReader(io.StringIO(out)))["footrule"] == "0"
+
 
 class TestR2:
     def test_flat_fixture_curves(self, capsys, flat_file):
@@ -428,6 +437,12 @@ class TestPredict:
         code, _, err = run(capsys, "predict", synthetic_path, "--round", "99")
         assert code == 2
 
+    @pytest.mark.parametrize("rnd", ["0", "27", "-1"])
+    def test_round_refusal_names_the_flag_and_the_file(self, capsys, synthetic_path, rnd):
+        code, out, err = run(capsys, "predict", synthetic_path, "--round", rnd)
+        assert (code, out) == (2, "")
+        assert err == f"error: {synthetic_path}: --round must be within 1..26, got {rnd}\n"
+
 
 class TestEvaluate:
     def test_csv_records_parse(self, capsys, synthetic_path):
@@ -514,8 +529,9 @@ class TestTableFiles:
         [
             ('["A", "B"', "Expecting"),
             ("[" * 100_000, "recursion"),
+            ('{"A": 1}', "JSON table must be an array"),
         ],
-        ids=["truncated", "deeply-nested"],
+        ids=["truncated", "deeply-nested", "object"],
     )
     def test_malformed_json_names_the_file(self, tmp_path, text, message):
         bad = tmp_path / "bad.json"
@@ -554,6 +570,18 @@ class TestTableFiles:
         code, out, err = run(capsys, "mae", "--pred", str(bad), "--actual", str(bad))
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: {where}: team must not be blank\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ['["A", "A "]', "position,team\n1,A\n2, A\n"],
+        ids=["json", "csv"],
+    )
+    def test_names_equal_once_stripped_are_duplicates(self, tmp_path, text):
+        table = tmp_path / "dup.table"
+        table.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_table_file(table)
+        assert str(info.value) == f"{table}: duplicate team names"
 
     def test_positions_may_come_unordered(self, tmp_path):
         table = tmp_path / "shuffled.csv"

@@ -4,13 +4,14 @@ parse into the dataset that the same records built in code give."""
 
 import csv
 import io
+import json
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tableguess.cli import read_table_file
+from tableguess.cli import TABLE_FIELDS, read_table_file
 from tableguess.league import (
     MATCH_FIELDS,
     MatchRecord,
@@ -65,8 +66,28 @@ def test_read_table_file_accepts_or_raises_value_error(tmp_path, content):
 
 
 NAMES = st.text("ABCxyz 9.'", min_size=1, max_size=6).map(str.strip).filter(bool)
-GOALS = st.one_of(st.integers(0, 9), st.integers(0, 2**31 - 1))
 PADDING = st.text(" ", max_size=2)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.lists(st.tuples(PADDING, NAMES, PADDING), min_size=2, max_size=8, unique_by=lambda t: t[1]))
+def test_a_table_reads_the_same_as_csv_or_json(tmp_path, padded):
+    """Padded names, written as a position,team CSV or as a JSON array,
+    read back to the same stripped names."""
+    names = [left + name + right for left, name, right in padded]
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([TABLE_FIELDS, *enumerate(names, start=1)])
+    (tmp_path / "t.csv").write_text(buffer.getvalue(), encoding="utf-8")
+    (tmp_path / "t.json").write_text(json.dumps(names), encoding="utf-8")
+    want = [name for _, name, _ in padded]
+    assert read_table_file(tmp_path / "t.csv") == read_table_file(tmp_path / "t.json") == want
+
+
+GOALS = st.one_of(st.integers(0, 9), st.integers(0, 2**31 - 1))
 
 
 @st.composite

@@ -20,7 +20,8 @@ switches between states whose speeds differ by 2x or more, so the probe
 lets files from different states be read against each other. The file
 records the machine, the seeds, every result line with its probe and,
 per metric, each side's median and quartiles and the pairs the change
-won. If a run exits non-zero, no more runs start: the file is written
+won; each end-to-end metric of BENCHMARK.json also gets the verdicts
+``gain``, ``within_bound`` and ``unresolved`` (see ``verdicts``). If a run exits non-zero, no more runs start: the file is written
 with the runs so far and a ``failed`` entry naming that run, its exit
 code and the tail of its stderr, and the tool exits 1.
 """
@@ -139,11 +140,15 @@ def probe_summary(runs: list[dict]) -> dict:
     }
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(
+    runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None
+) -> dict:
     """Per trace mode and metric, over the pairs with both sides present:
     each side's median and quartiles, and the pairs the change won and lost.
     ``better`` maps a metric to "lower" or "higher"; wins are counted only
-    for the metrics it names, and ties count for neither side."""
+    for the metrics it names, and ties count for neither side. Untraced
+    entries of the metrics in ``bounds``, which maps a metric to its
+    relative bound, also get their ``verdicts``."""
     pairs: dict[tuple[int, int], dict[str, dict]] = {}
     for run in runs:
         pairs.setdefault((run["trace"], run["pair"]), {})[run["side"]] = run["result"]["metrics"]
@@ -168,8 +173,36 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             if sign is not None:
                 entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in paired)
                 entry["change_losses"] = sum(sign * (c - p) < 0 for p, c in paired)
+                if mode == "trace0" and name in (bounds or {}):
+                    entry.update(verdicts(entry, paired, sign, bounds[name]))
             summary.setdefault(mode, {})[name] = entry
     return summary
+
+
+def verdicts(entry: dict, paired: list[tuple[float, float]], sign: int, bound: float) -> dict:
+    """The review rules for one end-to-end metric, given its summary
+    ``entry``, its (parent, change) values per pair, ``sign`` -1 when lower
+    is better and 1 when higher is, and its ``bound`` relative to the
+    parent's median.
+
+    - ``gain``: the change won at least 9 in 10 of the pairs, and its median
+      beats the parent's by more than the parent's q3 - q1;
+    - ``within_bound``: the change's median is no worse than the parent's by
+      more than the bound;
+    - ``unresolved``: the parent's q3 - q1 exceeds the bound, and not every
+      change run beats every parent run.
+    """
+    parent, change = entry["parent"], entry["change"]
+    spread = parent["q3"] - parent["q1"]
+    allowed = bound * abs(parent["median"])
+    gained = sign * (change["median"] - parent["median"])
+    parents, changes = zip(*paired)
+    return {
+        "gain": 10 * entry["change_wins"] >= 9 * entry["pairs"] and gained > spread,
+        "within_bound": gained >= -allowed,
+        "unresolved": spread > allowed
+        and min(sign * c for c in changes) <= max(sign * p for p in parents),
+    }
 
 
 def _spread(values: list[float]) -> dict:
@@ -238,6 +271,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     report = {
         "label": args.label,
         "workload": args.workload,
@@ -248,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": sorted({run["seed"] for run in runs}),
         "runs": runs,
         "host_probe_ms": probe_summary(runs),
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, better, bounds),
     }
     if failed is not None:
         report["failed"] = failed

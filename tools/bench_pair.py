@@ -21,9 +21,10 @@ lets files from different states be read against each other. The file
 records the machine, the seeds, every result line with its probe and,
 per metric, each side's median and quartiles and the pairs the change
 won; each end-to-end metric of BENCHMARK.json also gets the verdicts
-``gain``, ``within_bound`` and ``unresolved`` (see ``verdicts``). If a run exits non-zero, no more runs start: the file is written
-with the runs so far and a ``failed`` entry naming that run, its exit
-code and the tail of its stderr, and the tool exits 1.
+``gain``, ``within_bound`` and ``unresolved`` (see ``verdicts``). If a
+run exits non-zero, no more runs start: the file is written with the
+runs so far and a ``failed`` entry naming that run, its exit code and
+the tail of its stderr, and the tool exits 1.
 """
 
 from __future__ import annotations

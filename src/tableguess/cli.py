@@ -274,7 +274,10 @@ def _cmd_r2(args: argparse.Namespace) -> int:
     from . import league, regression
 
     dataset = league.parse_matches(args.matches)
-    curves = [regression.r2_curve(dataset, kind) for kind in regression.CURVE_KINDS]
+    try:
+        curves = [regression.r2_curve(dataset, kind) for kind in regression.CURVE_KINDS]
+    except ValueError as exc:
+        raise ValueError(f"{args.matches}: {exc}") from None
     records = curve_records(curves)
     obj: dict = {"records": records}
     if args.threshold is not None:

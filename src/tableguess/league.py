@@ -23,14 +23,16 @@ of cumulative per-team counts and table orders after each round, which
 the standings functions, ``predictor.evaluate_season`` and
 ``regression.r2_curve`` read. The frame is plain Python lists of ints, so
 no reader of match data needs numpy.
+
+Round numbers are at most ``ROUND_LIMIT``. Every per-round output, and
+the frame, has one entry per round up to the last, so this bounds their
+size whatever the match file holds.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_right
-from functools import cached_property
 from itertools import chain, groupby, islice
 from operator import attrgetter, sub
 from pathlib import Path
@@ -40,9 +42,13 @@ from ._record import Record
 from .textfile import read_text
 
 MATCH_FIELDS = ("season", "round", "home_team", "away_team", "home_goals", "away_goals")
-# Rounds and goals must stay below this. The frame's Python ints cannot
-# overflow; the limit is part of the match-file contract, which refuses
-# values no real season has.
+# The largest round number. A double round robin of the largest league
+# that predictor.evaluate_season scores (permstats.STATS_MAX_N = 1000
+# teams) has 1998 rounds, and no real league season has 50.
+ROUND_LIMIT = 2000
+# Goals must stay below this. The frame's Python ints cannot overflow;
+# the limit is part of the match-file contract, which refuses values no
+# real season has.
 _FIELD_LIMIT = 2**31
 
 
@@ -54,8 +60,8 @@ def _check_match(m: MatchRecord) -> None:
     """Refuse a match no season holds. ``MatchRecord`` and ``parse_matches``
     both call this, so both refuse the same values with the same message.
     The first rule broken, in this order, names the fault."""
-    if not 1 <= m.round < _FIELD_LIMIT:
-        raise ValueError(f"round must be in 1..{_FIELD_LIMIT - 1}, got {m.round}")
+    if not 1 <= m.round <= ROUND_LIMIT:
+        raise ValueError(f"round must be in 1..{ROUND_LIMIT}, got {m.round}")
     if not 0 <= m.home_goals < _FIELD_LIMIT:
         raise ValueError(f"goals must be in 0..{_FIELD_LIMIT - 1}, got {m.home_goals}")
     if not 0 <= m.away_goals < _FIELD_LIMIT:
@@ -96,18 +102,17 @@ class MatchRecord(Record):
 
 
 class SeasonFrame:
-    """Cumulative per-team tallies of one season, one row per played round.
+    """Cumulative per-team tallies of one season, one row per round.
 
     Each tally is a list of rows, and each row a list of Python ints with
     one entry per team in ``SeasonDataset.teams`` order, which is name
-    order. Row 0 is the table before any match and row k the table after
-    the k-th distinct round number that has a match, so rounds without
-    matches share a row and sparse round numbers cost no memory.
-    ``order[k]`` lists team columns in table order and ``places[k]`` gives
-    each team's place in it (1-based).
-
-    Every tally is built when the frame is; ``gd_places``, which only
-    ``evaluate_season`` reads, is built on first use.
+    order. Row 0 is the table before any match and row r the table after
+    round r, up to the last round. A round without matches shares the
+    row before it: its entry in every list is the same list object, not
+    a copy, so it costs one reference per list. ``order[r]`` lists team
+    columns in table order, ``places[r]`` gives each team's place in it
+    (1-based), and ``gd_places[r]`` each team's place in the order of
+    goal difference, points, goals for, then name.
     """
 
     def __init__(self, teams: Sequence[str], matches: Sequence[MatchRecord]) -> None:
@@ -117,10 +122,16 @@ class SeasonFrame:
         played, won, drawn, points, gd, gf = tally
         rows = tuple([row[:]] for row in tally)
         self.played, self.won, self.drawn, self.points, self.gd, self.gf = rows
-        self.played_rounds = []
+        # before any match every order is the name order of the columns
+        self.order = [list(range(size))]
+        self.places = [_places(self.order[0])]
+        self.gd_places = [self.places[0]]
+        frame_rows = (*rows, self.order, self.places, self.gd_places)
         round_of = attrgetter("round")
         for rnd, round_matches in groupby(sorted(matches, key=round_of), round_of):
-            self.played_rounds.append(rnd)
+            # the rounds since the last played one share its row
+            for frame_row in frame_rows:
+                frame_row.extend([frame_row[-1]] * (rnd - len(frame_row)))
             for m in round_matches:
                 home, away = column[m.home_team], column[m.away_team]
                 home_goals, away_goals = m.home_goals, m.away_goals
@@ -143,56 +154,32 @@ class SeasonFrame:
                     drawn[away] += 1
             for tally_rows, row in zip(rows, tally):
                 tally_rows.append(row[:])
-        # sorting by the least significant key first, each sort stable,
-        # leaves the name order of the columns as the last tie-break
-        self.order = []
-        for row_points, row_gd, row_gf in zip(self.points, self.gd, self.gf):
-            order = sorted(range(size), key=row_gf.__getitem__, reverse=True)
-            order.sort(key=row_gd.__getitem__, reverse=True)
-            order.sort(key=row_points.__getitem__, reverse=True)
+            # sorting by the least significant key first, each sort stable,
+            # leaves the name order of the columns as the last tie-break
+            order = sorted(range(size), key=gf.__getitem__, reverse=True)
+            order.sort(key=gd.__getitem__, reverse=True)
+            order.sort(key=points.__getitem__, reverse=True)
             self.order.append(order)
-        self.places = _places(self.order)
+            self.places.append(_places(order))
+            # the table order breaks goal-difference ties by points, goals
+            # for, then name, so one stable sort of it gives the gd order
+            self.gd_places.append(_places(sorted(order, key=gd.__getitem__, reverse=True)))
 
-    @cached_property
-    def gd_places(self) -> list[list[int]]:
-        """Places in the order of goal difference, points, goals for, then name.
-
-        The table order already breaks ties in that way, so one stable sort
-        of it by goal difference gives this order.
-        """
-        return _places(
-            [
-                sorted(order, key=row_gd.__getitem__, reverse=True)
-                for order, row_gd in zip(self.order, self.gd)
-            ]
-        )
-
-    def counts(self, k: int) -> list[tuple[int, ...]]:
+    def counts(self, r: int) -> list[tuple[int, ...]]:
         """Each team's played, won, drawn, lost, goals for and against, goal
-        difference and points at row ``k``, in column order."""
-        played, won, drawn = self.played[k], self.won[k], self.drawn[k]
-        gf, gd = self.gf[k], self.gd[k]
+        difference and points after round ``r``, in column order."""
+        played, won, drawn = self.played[r], self.won[r], self.drawn[r]
+        gf, gd = self.gf[r], self.gd[r]
         lost = map(sub, map(sub, played, won), drawn)
-        return list(zip(played, won, drawn, lost, gf, map(sub, gf, gd), gd, self.points[k]))
-
-    def row(self, rnd: int) -> int:
-        """The frame row holding the table after round ``rnd``."""
-        return bisect_right(self.played_rounds, rnd)
-
-    def round_rows(self) -> list[int]:
-        """The frame row of each round 1..R."""
-        return [self.row(rnd) for rnd in range(1, self.played_rounds[-1] + 1)]
+        return list(zip(played, won, drawn, lost, gf, map(sub, gf, gd), gd, self.points[r]))
 
 
-def _places(orders: list[list[int]]) -> list[list[int]]:
-    """The 1-based place of each column in each row's order."""
-    rows = []
-    for order in orders:
-        places = [0] * len(order)
-        for place, column in enumerate(order, start=1):
-            places[column] = place
-        rows.append(places)
-    return rows
+def _places(order: list[int]) -> list[int]:
+    """The 1-based place of each column in ``order``."""
+    places = [0] * len(order)
+    for place, column in enumerate(order, start=1):
+        places[column] = place
+    return places
 
 
 class SeasonDataset(Record):
@@ -276,14 +263,19 @@ def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
     """
     if isinstance(source, (str, Path)):
         try:
-            return parse_matches(io.StringIO(read_text(source), newline=""))
+            # read_text has dropped the one leading byte order mark
+            return _parse_lines(io.StringIO(read_text(source), newline=""))
         except ValueError as exc:
             raise MatchFileError(f"{source}: {exc}") from None
     lines = iter(source)
     # drop a leading byte order mark as read_text does for a path, so that
     # a stream holding only the mark reads as empty too
     first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
-    reader = csv.reader(chain(filter(None, first), lines))
+    return _parse_lines(chain(filter(None, first), lines))
+
+
+def _parse_lines(lines: Iterable[str]) -> SeasonDataset:
+    reader = csv.reader(lines)
     try:
         return _read_matches(reader)
     except csv.Error as exc:
@@ -352,10 +344,9 @@ def _tables(dataset: SeasonDataset, rounds: Sequence[int]) -> list[StandingsTabl
     new, fields = object.__new__, StandingsRow._fields
     tables = []
     for rnd in rounds:
-        k = frame.row(rnd)
-        counts = frame.counts(k)
+        counts = frame.counts(rnd)
         rows = []
-        for rank, team in enumerate(frame.order[k], start=1):
+        for rank, team in enumerate(frame.order[rnd], start=1):
             # the tally's counts need no checks, so skip __init__
             row = new(StandingsRow)
             row.__dict__.update(zip(fields, (dataset.teams[team], *counts[team], rank)))
@@ -390,7 +381,9 @@ def synthetic_season(
 
     Uses the circle method, so n teams give 2(n-1) rounds and each pair
     meets twice with home advantage swapped. Odd team counts get a bye per
-    round. Goal counts are drawn uniformly from 0..4.
+    round, so n teams give 2n rounds. Goal counts are drawn uniformly
+    from 0..4. Under ``ROUND_LIMIT`` this works up to n = 1000 (1998
+    rounds); n = 1001 needs 2002 rounds and is refused.
     """
     import random  # only this library helper draws, so no command loads it
 

@@ -96,7 +96,7 @@ def evaluate_season(
     cutoff = Fraction(exact) * baseline
     final = frame.places[-1]
     squares = sum(map(mul, final, final))
-    # Per frame row and strategy, the sums over teams of |place error| and
+    # Per round and strategy, the sums over teams of |place error| and
     # its square. Both places and final places are permutations of 1..n,
     # so the sum of (p - f)^2 is 2 * (sum of f^2 - sum of p * f). The
     # frame's goal-difference order is that of predicted_order_by_gd.
@@ -116,9 +116,9 @@ def evaluate_season(
     records: list[RoundForecast] = []
     threshold_rounds: dict[str, int | None] = {s: None for s in STRATEGIES}
     gd_better: list[int] = []
-    for rnd, k in enumerate(frame.round_rows(), start=1):
+    for rnd in range(1, dataset.rounds + 1):
         for strategy in STRATEGIES:
-            abs_sum, sq_sum = sums[strategy][k]
+            abs_sum, sq_sum = sums[strategy][rnd]
             value = Fraction(abs_sum, n)
             records.append(
                 RoundForecast(
@@ -127,7 +127,7 @@ def evaluate_season(
             )
             if threshold_rounds[strategy] is None and value < cutoff:
                 threshold_rounds[strategy] = rnd
-        if sums[STRATEGY_GD][k][0] < sums[STRATEGY_RANK][k][0]:
+        if sums[STRATEGY_GD][rnd][0] < sums[STRATEGY_RANK][rnd][0]:
             gd_better.append(rnd)
     return ForecastReport(
         season=dataset.season,

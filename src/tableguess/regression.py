@@ -118,9 +118,7 @@ def r2_curve(dataset: SeasonDataset, kind: str) -> R2Curve:
             per_row.append(_r_squared(cxy, cxx, cyy))
         except DegeneratePredictorError:
             per_row.append(None)
-    points = tuple(
-        (rnd, per_row[k]) for rnd, k in enumerate(frame.round_rows(), start=1)
-    )
+    points = tuple(enumerate(per_row[1:], start=1))
     return R2Curve(season=dataset.season, kind=kind, points=points)
 
 

@@ -7,6 +7,8 @@ import resource
 import subprocess
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
 spec = importlib.util.spec_from_file_location("bench_pair", TOOL)
 bench_pair = importlib.util.module_from_spec(spec)
@@ -194,9 +196,21 @@ def test_untracked_files_are_not_uncommitted_changes(tmp_path):
     assert bench_pair.worktree_state(tmp_path)[1] is True
 
 
+def test_an_unknown_workload_is_refused_before_any_export_or_run(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench_pair, "export", lambda rev, target: calls.append("export"))
+    monkeypatch.setattr(bench_pair, "run_once", lambda *args: calls.append("run"))
+    with pytest.raises(SystemExit) as info:
+        bench_pair.main(["--parent", "HEAD", "--workload", "seasn", "--label", "x"])
+    assert info.value.code == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "invalid choice: 'seasn' (choose from 'season', 'oracle', 'cli')" in err
+
+
 def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(
-        '{"run_seconds": 1, "end_to_end": [], "per_layer": []}\n'
+        '{"run_seconds": 1, "workloads": [{"name": "season"}], "end_to_end": [], "per_layer": []}\n'
     )
     calls = []
 
@@ -232,7 +246,7 @@ def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch):
 
 def test_both_sides_run_copies_in_the_callers_environment(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(
-        '{"run_seconds": 1, "end_to_end": [], "per_layer": []}\n'
+        '{"run_seconds": 1, "workloads": [{"name": "season"}], "end_to_end": [], "per_layer": []}\n'
     )
     (tmp_path / "code.py").write_text("x = 1\n")
     git(tmp_path, "init", "-q")

@@ -112,6 +112,7 @@ class TestParsing:
 
 
 LIMIT = "2147483647"
+ROUNDS = "1..2000"
 
 # (rows after the header, the full message); every row-level error is found
 # before any season or duplicate error, whatever the order of the lines
@@ -122,11 +123,11 @@ REJECTIONS = [
     ("S,1,A,B,x,y\n", "line 2: home_goals must be an integer, got 'x'"),
     ("S,r,A,B,x,y\n", "line 2: round must be an integer, got 'r'"),
     ("S,1,A,B,0,y\nS,r,C,D,0,0\n", "line 2: away_goals must be an integer, got 'y'"),
-    ("S,0,A,B,2,0\n", f"line 2: round must be in 1..{LIMIT}, got 0"),
-    ("S,2147483648,A,B,2,0\n", f"line 2: round must be in 1..{LIMIT}, got 2147483648"),
+    ("S,0,A,B,2,0\n", f"line 2: round must be in {ROUNDS}, got 0"),
+    ("S,2147483648,A,B,2,0\n", f"line 2: round must be in {ROUNDS}, got 2147483648"),
     ("S,1,A,B,-1,0\n", f"line 2: goals must be in 0..{LIMIT}, got -1"),
     ("S,1,A,B,0,-3\n", f"line 2: goals must be in 0..{LIMIT}, got -3"),
-    ("S,-1,A,B,-1,0\n", f"line 2: round must be in 1..{LIMIT}, got -1"),
+    ("S,-1,A,B,-1,0\n", f"line 2: round must be in {ROUNDS}, got -1"),
     ("S,1,A,A,2,0\n", "line 2: 'A' cannot play itself"),
     ("S,1,A,B,2\n", "line 2: expected 6 fields, got 5"),
     ("S,1,A,B,2,0,0\n", "line 2: expected 6 fields, got 7"),
@@ -146,7 +147,7 @@ REJECTIONS = [
 # checked first: round, home goals, away goals, blank season, blank home
 # team, blank away team, then self-play.
 MULTI_FAULT = [
-    (("S", 0, "A", "A", 2**31, 0), "round must be in 1..2147483647, got 0"),
+    (("S", 0, "A", "A", 2**31, 0), f"round must be in {ROUNDS}, got 0"),
     (("S", 1, "", "B", -1, 0), "goals must be in 0..2147483647, got -1"),
     (("S", 1, "A", " ", 2**31, -1), "goals must be in 0..2147483647, got 2147483648"),
     (("S", 1, "A", "B", 0, -1), "goals must be in 0..2147483647, got -1"),
@@ -242,6 +243,22 @@ class TestRejections:
             MatchRecord(*values)
         assert str(info.value) == message
 
+    def test_rounds_up_to_the_limit_are_accepted(self):
+        assert league.ROUND_LIMIT == 2000
+        dataset = parse_text(HEADER + "S,1,A,B,1,0\nS,2000,B,A,0,0\n")
+        assert dataset.rounds == 2000
+        assert dataset.matches[1] == MatchRecord("S", 2000, "B", "A", 0, 0)
+        assert len(standings_series(dataset)) == 2000
+
+    def test_a_round_past_the_limit_is_refused_in_a_file_and_in_code(self):
+        message = f"round must be in {ROUNDS}, got 2001"
+        with pytest.raises(MatchFileError) as parsed:
+            parse_text(HEADER + "S,1,A,B,1,0\nS,2001,B,A,0,0\n")
+        assert str(parsed.value) == f"line 3: {message}"
+        with pytest.raises(ValueError) as in_code:
+            MatchRecord("S", 2001, "B", "A", 0, 0)
+        assert str(in_code.value) == message
+
     def test_leading_bom_is_dropped(self, tmp_path):
         path = tmp_path / "matches.csv"
         path.write_bytes(b"\xef\xbb\xbf" + (HEADER + "S,1,A,B,2,0\n").encode())
@@ -250,6 +267,17 @@ class TestRejections:
     def test_leading_bom_is_dropped_from_a_text_stream(self):
         text = HEADER + "S,1,A,B,2,0\n"
         assert parse_matches(io.StringIO("\ufeff" + text)) == parse_text(text)
+
+    def test_a_second_bom_is_refused_from_a_path_and_from_a_stream(self, tmp_path):
+        text = "\ufeff\ufeff" + HEADER + "S,1,A,B,2,0\n"
+        path = tmp_path / "matches.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MatchFileError) as from_stream:
+            parse_matches(io.StringIO(text))
+        with pytest.raises(MatchFileError) as from_path:
+            parse_matches(path)
+        assert str(from_stream.value).startswith("line 1: expected header ")
+        assert str(from_path.value) == f"{path}: {from_stream.value}"
 
     def test_bom_keeps_the_line_of_a_later_decode_error(self, tmp_path):
         path = tmp_path / "matches.csv"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from tableguess.cli import TABLE_FIELDS, read_table_file
 from tableguess.league import (
     MATCH_FIELDS,
+    ROUND_LIMIT,
     MatchRecord,
     SeasonDataset,
     build_dataset,
@@ -96,7 +97,7 @@ def match_files(draw) -> tuple[str, list[tuple]]:
     some rounds out of order or only partly played, and its rows in order."""
     season = draw(NAMES)
     teams = draw(st.lists(NAMES, min_size=2, max_size=8, unique=True))
-    numbers = draw(st.lists(st.integers(1, 2**31 - 1), min_size=1, max_size=6, unique=True))
+    numbers = draw(st.lists(st.integers(1, ROUND_LIMIT), min_size=1, max_size=6, unique=True))
     rows = []
     for rnd in numbers:
         playing = draw(st.permutations(teams))

@@ -142,3 +142,19 @@ def test_one_tally_serves_evaluate_and_both_curves(monkeypatch, synthetic_path):
         regression.r2_curve(dataset, kind)
     assert len(frames) == 1
     assert series_calls == []
+
+
+def test_a_round_without_matches_shares_the_row_before_it():
+    frame = league.build_dataset(
+        [MatchRecord("S", 1, "A", "B", 1, 0), MatchRecord("S", 3, "B", "A", 2, 2)]
+    )._frame
+    lists = (
+        frame.played, frame.won, frame.drawn, frame.points, frame.gd, frame.gf,
+        frame.order, frame.places, frame.gd_places,
+    )
+    for rows in lists:
+        assert len(rows) == 4
+        assert rows[2] is rows[1]
+        assert rows[3] is not rows[2]
+    assert frame.points[1:] == [[3, 0], [3, 0], [4, 1]]
+    assert frame.order[2] == [0, 1]

@@ -225,14 +225,16 @@ def worktree_state(root: Path) -> tuple[str, bool]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, choices=[w["name"] for w in spec["workloads"]]
+    )
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--trace-pairs", type=int, default=0)
     args = parser.parse_args(argv)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     first = secrets.randbelow(10**6)
     plan = [(0, i) for i in range(args.pairs)] + [(1, i) for i in range(args.trace_pairs)]

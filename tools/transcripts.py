@@ -91,6 +91,8 @@ COMMANDS = [
     ("refuse-matches-twice-in-a-round", ["predict", "inputs/twice_in_a_round.csv"]),
     ("refuse-matches-mixed-seasons", ["evaluate", "inputs/mixed_seasons.csv"]),
     ("refuse-matches-not-utf8", ["r2", "inputs/not_utf8_matches.csv"]),
+    ("refuse-matches-round-limit", ["evaluate", "inputs/round_past_limit.csv"]),
+    ("refuse-r2-two-teams", ["r2", "inputs/two_teams.csv"]),
     # table files
     ("refuse-table-missing", ["mae", "--pred", "inputs/missing.csv", "--actual", ACTUAL]),
     ("refuse-table-csv-position", ["mae", "--pred", "inputs/bad_position.csv", "--actual", ACTUAL]),

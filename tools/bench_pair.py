@@ -3,6 +3,9 @@
   python3 tools/bench_pair.py --parent REV --workload NAME --label LABEL
       [--pairs 10] [--trace-pairs 0]
 
+``--workload`` is one of BENCHMARK.json's ``workloads``; any other name
+exits 2 before anything is exported or run.
+
 The parent revision's committed files are exported with ``git archive``
 into a temporary directory, removed afterwards. Before the first run the
 working tree's tracked files, as they are on disk, are copied beside

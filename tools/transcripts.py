@@ -61,6 +61,9 @@ COMMANDS = [
     ("evaluate-json", ["evaluate", SEASON, "--format", "json"]),
     ("evaluate-fraction", ["evaluate", SEASON, "--baseline-fraction", "0.8", "--format", "json"]),
     ("evaluate-summary", ["evaluate", "inputs/flat.csv", "--summary", "summary.json"]),
+    # rounds 3..8 have no matches, so they share round 2's table
+    ("evaluate-sparse-rounds", ["evaluate", "inputs/sparse_rounds.csv"]),
+    ("r2-sparse-rounds", ["r2", "inputs/sparse_rounds.csv", "--threshold", "0.5"]),
     # flag limits
     ("refuse-stats-n-1", ["stats", "--n", "1"]),
     ("refuse-stats-n-1001", ["stats", "--n", "1001"]),

@@ -49,8 +49,6 @@ _EXPORTS = {
     "predictor": (
         "ForecastReport",
         "evaluate_season",
-        "predict_by_gd",
-        "predict_by_rank",
     ),
     "regression": (
         "DegeneratePredictorError",

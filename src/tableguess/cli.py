@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import re
@@ -127,7 +128,7 @@ def _table_entries(text: str) -> Iterator[tuple[str, int, str]]:
             raise ValueError("JSON table must be an array of team names")
         yield from ((f"position {k}", k, team) for k, team in enumerate(teams, start=1))
         return
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         if header is None:

@@ -7,11 +7,13 @@ points desc, goal difference desc, goals for desc, team name asc. The name
 fallback makes every table a total order, which downstream code relies on
 to build valid permutations.
 
-A match file is parsed in one pass. Each CSV row is read once: its three
-integers are converted in one step, its record is filled in place of being
-built by ``__init__``, and the one check that ``MatchRecord`` also runs is
-applied to it once. A leading UTF-8 byte order mark is dropped, and
-blank team names and season ids are refused.
+A match file is parsed in one pass, and a path and a stream take one
+route: the whole text is read, one leading UTF-8 byte order mark is
+dropped, and one ``csv.reader`` reads it, so a line ends only at ``\n``,
+``\r\n`` or ``\r``. Each CSV row is read once: its three integers are
+converted in one step, its record is filled in place of being built by
+``__init__``, and the one check that ``MatchRecord`` also runs is applied
+to it once. Blank team names and season ids are refused.
 
 A dataset's one field is its matches. Every dataset, built or parsed,
 passes one season check: at least one match, one season id, and no team
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import chain, groupby, islice
+from itertools import groupby
 from operator import attrgetter, sub
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -259,23 +261,22 @@ def _fill(dataset: SeasonDataset, records: tuple, lines: Sequence[int] | None) -
 def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
     """Read and validate a match CSV into a single-season dataset.
 
-    Errors name the line, and the file when ``source`` is a path.
+    A stream is read whole, and then it and a path take one route: one
+    leading byte order mark is dropped, and a line ends only at ``\n``,
+    ``\r\n`` or ``\r``. Errors name the line, and the file when
+    ``source`` is a path.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            # read_text has dropped the one leading byte order mark
-            return _parse_lines(io.StringIO(read_text(source), newline=""))
-        except ValueError as exc:
-            raise MatchFileError(f"{source}: {exc}") from None
-    lines = iter(source)
-    # drop a leading byte order mark as read_text does for a path, so that
-    # a stream holding only the mark reads as empty too
-    first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
-    return _parse_lines(chain(filter(None, first), lines))
+    if not isinstance(source, (str, Path)):
+        return _parse_text(source.read().removeprefix("\ufeff"))
+    try:
+        # read_text has dropped the one leading byte order mark
+        return _parse_text(read_text(source))
+    except ValueError as exc:
+        raise MatchFileError(f"{source}: {exc}") from None
 
 
-def _parse_lines(lines: Iterable[str]) -> SeasonDataset:
-    reader = csv.reader(lines)
+def _parse_text(text: str) -> SeasonDataset:
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         return _read_matches(reader)
     except csv.Error as exc:

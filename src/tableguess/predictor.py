@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul, sub
-from typing import Sequence
 
 from . import STRATEGIES, STRATEGY_GD, STRATEGY_RANK, permstats
 from ._record import Record
 from .league import SeasonDataset, StandingsTable
-from .permstats import Ranking
 
 
 def predicted_order_by_rank(table: StandingsTable) -> tuple[str, ...]:
@@ -37,16 +35,6 @@ def predicted_order_by_gd(table: StandingsTable) -> tuple[str, ...]:
             key=lambda r: (-r.goal_difference, -r.points, -r.goals_for, r.team),
         )
     )
-
-
-def predict_by_rank(table: StandingsTable, final_order: Sequence[str]) -> Ranking:
-    """Current-table prediction expressed against the final-table index."""
-    return permstats.ranking_from_orders(final_order, predicted_order_by_rank(table))
-
-
-def predict_by_gd(table: StandingsTable, final_order: Sequence[str]) -> Ranking:
-    """Goal-difference prediction expressed against the final-table index."""
-    return permstats.ranking_from_orders(final_order, predicted_order_by_gd(table))
 
 
 class RoundForecast(Record):
@@ -99,20 +87,20 @@ def evaluate_season(
     # Per round and strategy, the sums over teams of |place error| and
     # its square. Both places and final places are permutations of 1..n,
     # so the sum of (p - f)^2 is 2 * (sum of f^2 - sum of p * f). The
-    # frame's goal-difference order is that of predicted_order_by_gd.
-    sums = {
-        strategy: [
-            (
-                sum(map(abs, map(sub, row, final))),
-                2 * (squares - sum(map(mul, row, final))),
-            )
-            for row in places
-        ]
-        for strategy, places in (
-            (STRATEGY_RANK, frame.places),
-            (STRATEGY_GD, frame.gd_places),
-        )
-    }
+    # frame's goal-difference order is that of predicted_order_by_gd. A
+    # round without matches shares the row before it, and its sums.
+    sums: dict[str, list[tuple[int, int]]] = {}
+    for strategy, places in ((STRATEGY_RANK, frame.places), (STRATEGY_GD, frame.gd_places)):
+        row_sums = sums[strategy] = []
+        last = None
+        for row in places:
+            if row is not last:
+                last = row
+                pair = (
+                    sum(map(abs, map(sub, row, final))),
+                    2 * (squares - sum(map(mul, row, final))),
+                )
+            row_sums.append(pair)
     records: list[RoundForecast] = []
     threshold_rounds: dict[str, int | None] = {s: None for s in STRATEGIES}
     gd_better: list[int] = []

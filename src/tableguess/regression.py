@@ -109,15 +109,17 @@ def r2_curve(dataset: SeasonDataset, kind: str) -> R2Curve:
     y = frame.places[-1]
     sy = sum(y)
     cyy = n * sum(map(mul, y, y)) - sy * sy
+    # a round without matches shares the row before it, and its value
     per_row: list[float | None] = []
+    last = None
     for x in frame.places if kind == KIND_TABLE_RANK else frame.gd:
-        sx = sum(x)
-        cxx = n * sum(map(mul, x, x)) - sx * sx
-        cxy = n * sum(map(mul, x, y)) - sx * sy
-        try:
-            per_row.append(_r_squared(cxy, cxx, cyy))
-        except DegeneratePredictorError:
-            per_row.append(None)
+        if x is not last:
+            last = x
+            sx = sum(x)
+            cxx = n * sum(map(mul, x, x)) - sx * sx
+            cxy = n * sum(map(mul, x, y)) - sx * sy
+            value = None if cxx == 0 else _r_squared(cxy, cxx, cyy)
+        per_row.append(value)
     points = tuple(enumerate(per_row[1:], start=1))
     return R2Curve(season=dataset.season, kind=kind, points=points)
 

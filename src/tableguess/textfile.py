@@ -1,4 +1,10 @@
-"""Reading a UTF-8 text file, shared by the match and table readers."""
+"""Reading a UTF-8 text file, shared by the match and table readers.
+
+The match reader, and the table reader for CSV, hand the text to
+``csv.reader`` through ``io.StringIO(text, newline="")``, so in either
+file a line ends only at ``\n``, ``\r\n`` or ``\r``; any other Unicode
+line break is part of a cell.
+"""
 
 from __future__ import annotations
 

@@ -138,7 +138,9 @@ def test_c6_standings_invariants_on_random_seasons():
                     decisive += 1
             assert sum(row.goal_difference for row in table.rows) == 0
             assert sum(row.points for row in table.rows) == 3 * decisive + 2 * drawn
-            ranking = predictor.predict_by_rank(table, dataset.teams)
+            ranking = permstats.ranking_from_orders(
+                dataset.teams, predictor.predicted_order_by_rank(table)
+            )
             assert sorted(ranking.places) == list(range(1, 15))
 
         text = matches_csv(dataset)
@@ -198,3 +200,23 @@ def test_c8_real_data_smoke():
             print(f"{kind}: never reaches 0.8")
         else:
             print(f"{kind}: reaches 0.8 at round {crossing}")
+
+
+def test_c9_sparse_season_scores_each_table_once():
+    """1000 teams, a full round 1 and one match in round 2000: rounds 2..1999
+    share round 1's table, so evaluate_season takes under 0.1 s and each
+    r2_curve under 0.02 s, best of 3."""
+    teams = [f"T{i:04d}" for i in range(1000)]
+    matches = [
+        league.MatchRecord("sparse", 1, teams[i], teams[i + 1], i % 3, i % 2)
+        for i in range(0, 1000, 2)
+    ]
+    matches.append(league.MatchRecord("sparse", 2000, teams[0], teams[3], 2, 0))
+    dataset = league.build_dataset(matches)
+    assert dataset.rounds == 2000
+
+    best = min(_timed(lambda: predictor.evaluate_season(dataset)) for _ in range(3))
+    assert best < 0.1, f"evaluate_season took {best * 1e3:.1f} ms, budget is 100 ms"
+    for kind in regression.CURVE_KINDS:
+        best = min(_timed(lambda: regression.r2_curve(dataset, kind)) for _ in range(3))
+        assert best < 0.02, f"r2_curve({kind!r}) took {best * 1e3:.1f} ms, budget is 20 ms"

@@ -427,6 +427,28 @@ class TestPredict:
         teams = read_table_file(target)
         assert len(teams) == 14
 
+    @pytest.mark.parametrize(
+        "mark",
+        ["\n", "\x85", "\u2028", "\u2029", "\v", "\f", "\x1c", "\x1d", "\x1e"],
+        ids=lambda mark: f"U+{ord(mark):04X}",
+    )
+    def test_names_holding_a_line_break_round_trip(self, capsys, tmp_path, mark):
+        """A name holding a quoted newline, or a character that Unicode but
+        not CSV counts as a line break, reads back from predict's table."""
+        a, b = f"A{mark}1", f"B{mark}2"
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(
+            [league.MATCH_FIELDS, ("S", 1, a, b, 0, 2), ("S", 1, "C", "D", 1, 1), ("S", 2, a, "C", 3, 0)]
+        )
+        matches, table, order = tmp_path / "m.csv", tmp_path / "t.csv", tmp_path / "t.json"
+        matches.write_text(buffer.getvalue(), encoding="utf-8", newline="")
+        assert run(capsys, "predict", str(matches), "--output", str(table))[0] == 0
+        assert run(capsys, "predict", str(matches), "--format", "json", "--output", str(order))[0] == 0
+        predicted = json.loads(order.read_text(encoding="utf-8"))
+        assert read_table_file(table) == predicted == [b, a, "D", "C"]
+        code, out, err = run(capsys, "mae", "--pred", str(table), "--actual", str(order), "--format", "json")
+        assert (code, err, json.loads(out)["footrule"]) == (0, "", 0)
+
     def test_json_format_is_a_team_array(self, capsys, synthetic_path):
         code, out, _ = run(capsys, "predict", synthetic_path, "--format", "json")
         assert code == 0

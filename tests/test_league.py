@@ -15,8 +15,8 @@ from tableguess.league import (
     standings_series,
     synthetic_season,
 )
-from tableguess.permstats import DimensionMismatchError, identity
-from tableguess.predictor import predict_by_gd, predict_by_rank, predicted_order_by_gd
+from tableguess.permstats import DimensionMismatchError, identity, ranking_from_orders
+from tableguess.predictor import predicted_order_by_gd, predicted_order_by_rank
 from conftest import matches_csv
 
 
@@ -339,7 +339,7 @@ class TestVectors:
     def test_final_order_gives_identity(self, synthetic_dataset):
         final = final_standings(synthetic_dataset)
         order = [row.team for row in final.rows]
-        assert predict_by_rank(final, order) == identity(14)
+        assert ranking_from_orders(order, predicted_order_by_rank(final)) == identity(14)
 
     def test_gd_sums_to_zero(self, synthetic_dataset):
         for table in standings_series(synthetic_dataset):
@@ -350,24 +350,27 @@ class TestVectors:
 
     def test_rank_vectors_are_valid_permutations(self, synthetic_dataset):
         for table in standings_series(synthetic_dataset):
-            for predict in (predict_by_rank, predict_by_gd):
-                ranking = predict(table, synthetic_dataset.teams)
+            for predict in (predicted_order_by_rank, predicted_order_by_gd):
+                ranking = ranking_from_orders(synthetic_dataset.teams, predict(table))
                 assert sorted(ranking.places) == list(range(1, 15))
 
     def test_round_one_rank_vector_hand_checked(self, synthetic_dataset):
         table = standings_at_round(synthetic_dataset, 1)
         # against alphabetical roster order, from the hand-checked table above
         expected = (6, 12, 13, 5, 1, 11, 7, 8, 3, 14, 10, 2, 4, 9)
-        assert predict_by_rank(table, synthetic_dataset.teams).places == expected
+        ranking = ranking_from_orders(synthetic_dataset.teams, predicted_order_by_rank(table))
+        assert ranking.places == expected
 
     def test_missing_team_errors(self, synthetic_dataset):
         table = final_standings(synthetic_dataset)
         with pytest.raises(ValueError):
-            predict_by_rank(table, ["Nowhere"] + list(synthetic_dataset.teams[1:]))
+            ranking_from_orders(
+                ["Nowhere"] + list(synthetic_dataset.teams[1:]), predicted_order_by_rank(table)
+            )
         with pytest.raises(DimensionMismatchError):
-            predict_by_gd(table, list(synthetic_dataset.teams[:2]))
+            ranking_from_orders(list(synthetic_dataset.teams[:2]), predicted_order_by_gd(table))
         with pytest.raises(ValueError):
-            predict_by_rank(table, [synthetic_dataset.teams[0]] * 14)
+            ranking_from_orders([synthetic_dataset.teams[0]] * 14, predicted_order_by_rank(table))
 
 
 class TestInvariants:

@@ -10,8 +10,6 @@ from tableguess.predictor import (
     STRATEGY_GD,
     STRATEGY_RANK,
     evaluate_season,
-    predict_by_gd,
-    predict_by_rank,
     predicted_order_by_gd,
     predicted_order_by_rank,
 )
@@ -48,7 +46,7 @@ class TestRankStrategy:
     def test_final_table_predicts_itself(self, synthetic_dataset):
         final = final_standings(synthetic_dataset)
         order = [row.team for row in final.rows]
-        ranking = predict_by_rank(final, order)
+        ranking = permstats.ranking_from_orders(order, predicted_order_by_rank(final))
         assert ranking == permstats.identity(14)
         assert permstats.mae(ranking) == 0
 
@@ -87,8 +85,8 @@ class TestGdStrategy:
     def test_rankings_are_bijections(self, synthetic_dataset):
         final_order = [row.team for row in final_standings(synthetic_dataset).rows]
         for table in standings_series(synthetic_dataset):
-            for predict in (predict_by_rank, predict_by_gd):
-                ranking = predict(table, final_order)
+            for predict in (predicted_order_by_rank, predicted_order_by_gd):
+                ranking = permstats.ranking_from_orders(final_order, predict(table))
                 assert sorted(ranking.places) == list(range(1, 15))
 
 

@@ -1,10 +1,12 @@
 """Arbitrary input to the two file readers: a result or a ValueError, never
 another exception (the CLI maps ValueError to exit 2). Valid match files
-parse into the dataset that the same records built in code give."""
+parse into the dataset that the same records built in code give, and any
+match text reads the same from a path as from a stream."""
 
 import csv
 import io
 import json
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -15,6 +17,7 @@ from tableguess.cli import TABLE_FIELDS, read_table_file
 from tableguess.league import (
     MATCH_FIELDS,
     ROUND_LIMIT,
+    MatchFileError,
     MatchRecord,
     SeasonDataset,
     build_dataset,
@@ -128,3 +131,33 @@ def test_parsed_file_equals_records_built_in_code(case):
         assert repr(got) == repr(want)
         with pytest.raises(FrozenInstanceError):
             got.round = want.round
+
+
+@st.composite
+def line_ended_texts(draw) -> str:
+    """A valid match file or an arbitrary text, each of its line ends made
+    one of \\n, \\r\\n or \\r, with or without a leading byte order mark."""
+    text = draw(st.one_of(match_files().map(lambda case: case[0]), TEXTS))
+    text = re.sub(r"\r\n|\r|\n", draw(st.sampled_from(["\n", "\r\n", "\r"])), text)
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(line_ended_texts())
+def test_a_match_file_reads_the_same_from_a_path_or_a_stream(tmp_path, text):
+    path = tmp_path / "matches.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        from_path = parse_matches(path)
+    except MatchFileError as exc:
+        with pytest.raises(MatchFileError) as refused:
+            parse_matches(io.StringIO(text))
+        assert str(exc) == f"{path}: {refused.value}"
+        return
+    from_stream = parse_matches(io.StringIO(text))
+    assert from_stream == from_path
+    assert vars(from_stream._frame) == vars(from_path._frame)

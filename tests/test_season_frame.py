@@ -92,10 +92,10 @@ def test_evaluate_and_curves_equal_per_table_scoring(matches):
     expected = []
     for table in tables:
         for strategy, predict in (
-            (predictor.STRATEGY_RANK, predictor.predict_by_rank),
-            (predictor.STRATEGY_GD, predictor.predict_by_gd),
+            (predictor.STRATEGY_RANK, predictor.predicted_order_by_rank),
+            (predictor.STRATEGY_GD, predictor.predicted_order_by_gd),
         ):
-            ranking = predict(table, final_order)
+            ranking = permstats.ranking_from_orders(final_order, predict(table))
             expected.append(
                 (table.round, strategy, permstats.mae(ranking), permstats.mse(ranking))
             )

@@ -48,6 +48,11 @@ COMMANDS = [
     ("mae-json", ["mae", "--pred", PRED, "--actual", ACTUAL, "--format", "json"]),
     ("mae-json-tables", ["mae", "--pred", "inputs/bac.json", "--actual", "inputs/abc.csv"]),
     ("mae-output", ["mae", "--pred", PRED, "--actual", ACTUAL, "--output", "mae.csv"]),
+    # U+2028 is a Unicode line break, but not a CSV one
+    (
+        "mae-line-separator",
+        ["mae", "--pred", "inputs/line_separator.csv", "--actual", "inputs/line_separator.json"],
+    ),
     ("r2-csv", ["r2", SEASON]),
     ("r2-json", ["r2", SEASON, "--format", "json"]),
     ("r2-threshold-csv", ["r2", SEASON, "--threshold", "0.8"]),

@@ -18,6 +18,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 # league, predictor and regression are imported by the commands that use
@@ -49,7 +50,9 @@ def _write(args: argparse.Namespace, obj, records: list[dict]) -> None:
             json.dump(obj, fh, indent=2)
             fh.write("\n")
         else:
-            writer = csv.writer(fh, lineterminator="\n")
+            # under a \r\n terminator csv quotes a cell holding \r or \n; rows then end in \n
+            rows = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+            writer = csv.writer(rows, lineterminator="\r\n")
             writer.writerow(records[0].keys())
             writer.writerows(record.values() for record in records)
 
@@ -272,6 +275,8 @@ def _cmd_mae(args: argparse.Namespace) -> int:
 
 
 def _cmd_r2(args: argparse.Namespace) -> int:
+    if args.threshold is not None and not 0.0 < args.threshold <= 1.0:
+        raise ValueError(f"--threshold must be within (0, 1], got {args.threshold}")
     from . import league, regression
 
     dataset = league.parse_matches(args.matches)

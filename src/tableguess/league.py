@@ -22,9 +22,9 @@ scanned one by one to name the first bad one, by its line in a file. The
 season id, the teams and the last round are read from the matches. The
 dataset is tallied once, when it is built: it carries a ``SeasonFrame``
 of cumulative per-team counts and table orders after each round, which
-the standings functions, ``predictor.evaluate_season`` and
-``regression.r2_curve`` read. The frame is plain Python lists of ints, so
-no reader of match data needs numpy.
+the standings functions read and ``predictor.evaluate_season`` and
+``regression.r2_curve`` score through ``per_round``, the one walk over its
+rows. It is plain Python lists of ints, so no reader of it needs numpy.
 
 Round numbers are at most ``ROUND_LIMIT``. Every per-round output, and
 the frame, has one entry per round up to the last, so this bounds their
@@ -38,7 +38,7 @@ import io
 from itertools import groupby
 from operator import attrgetter, sub
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from ._record import Record
 from .textfile import read_text
@@ -176,6 +176,18 @@ class SeasonFrame:
         return list(zip(played, won, drawn, lost, gf, map(sub, gf, gd), gd, self.points[r]))
 
 
+def per_round(rows: list[list[int]], score: Callable[[list[int]], object]) -> list:
+    """``score(row)`` for rounds 1..R of a ``SeasonFrame`` row list, run once
+    per distinct row object: a round sharing the row before it repeats its value."""
+    values = []
+    last = value = None
+    for row in rows[1:]:
+        if row is not last:
+            last, value = row, score(row)
+        values.append(value)
+    return values
+
+
 def _places(order: list[int]) -> list[int]:
     """The 1-based place of each column in ``order``."""
     places = [0] * len(order)
@@ -214,11 +226,6 @@ class StandingsTable(Record):
     season: str
     round: int
     rows: tuple[StandingsRow, ...]
-
-
-def build_dataset(matches: Iterable[MatchRecord]) -> SeasonDataset:
-    """The dataset of already-parsed match records, checked as one season."""
-    return SeasonDataset(matches)
 
 
 def _fill(dataset: SeasonDataset, records: tuple, lines: Sequence[int] | None) -> SeasonDataset:
@@ -419,4 +426,4 @@ def synthetic_season(
                         away_goals=rng.randint(0, 4),
                     )
                 )
-    return build_dataset(matches)
+    return SeasonDataset(matches)

@@ -24,8 +24,9 @@ ORACLE_MAX_N = 10
 # n! must stay under Python's 4300-digit limit for int-to-str conversion
 # (1000! has 2568).
 STATS_MAX_N = 1000
-# Bounds the time of one Monte Carlo run as n * samples; 10**8 samples at
-# n = 20 stay within it. The sampler's memory is bounded by its block size.
+# Bounds the time of one Monte Carlo run as n * samples, 10**8 samples at
+# n = 20. monte_carlo_mae also keeps n within STATS_MAX_N, where a sampler
+# block is 655 samples wide or the whole run, so its size bounds the memory.
 MC_MAX_WORK = 2 * 10**9
 
 
@@ -254,11 +255,13 @@ def monte_carlo_mae(n: int, samples: int, seed: int) -> MonteCarloSummary:
     """Sample ``samples`` uniform random guesses and summarise their MAE.
 
     Reproducible for a fixed (n, samples, seed) regardless of chunking;
-    see tableguess._kernels for the guarantee. Refuses n * samples above
-    ``MC_MAX_WORK``.
+    see tableguess._kernels for the guarantee. Refuses n above
+    ``STATS_MAX_N`` and n * samples above ``MC_MAX_WORK``.
     """
     if n < 2:
         raise ValueError(f"league size must be at least 2, got {n}")
+    if n > STATS_MAX_N:
+        raise ValueError(f"league size must be at most {STATS_MAX_N}, got {n}")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     if n * samples > MC_MAX_WORK:

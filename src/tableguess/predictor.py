@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 
 from . import STRATEGIES, STRATEGY_GD, STRATEGY_RANK, permstats
 from ._record import Record
-from .league import SeasonDataset, StandingsTable
+from .league import SeasonDataset, StandingsTable, per_round
 
 
 def predicted_order_by_rank(table: StandingsTable) -> tuple[str, ...]:
@@ -26,15 +26,12 @@ def predicted_order_by_rank(table: StandingsTable) -> tuple[str, ...]:
 def predicted_order_by_gd(table: StandingsTable) -> tuple[str, ...]:
     """Predicted final order = teams sorted by goal difference.
 
-    Ties fall back to points, goals for, then name, so the order is total.
+    ``table.rows`` are in table order (points, goal difference, goals for,
+    then name), as in every table the library builds, so one stable sort by
+    goal difference, the frame's rule, breaks its ties in that order.
     """
-    return tuple(
-        row.team
-        for row in sorted(
-            table.rows,
-            key=lambda r: (-r.goal_difference, -r.points, -r.goals_for, r.team),
-        )
-    )
+    rows = sorted(table.rows, key=attrgetter("goal_difference"), reverse=True)
+    return tuple(row.team for row in rows)
 
 
 class RoundForecast(Record):
@@ -84,29 +81,21 @@ def evaluate_season(
     cutoff = Fraction(exact) * baseline
     final = frame.places[-1]
     squares = sum(map(mul, final, final))
-    # Per round and strategy, the sums over teams of |place error| and
-    # its square. Both places and final places are permutations of 1..n,
-    # so the sum of (p - f)^2 is 2 * (sum of f^2 - sum of p * f). The
-    # frame's goal-difference order is that of predicted_order_by_gd. A
-    # round without matches shares the row before it, and its sums.
-    sums: dict[str, list[tuple[int, int]]] = {}
-    for strategy, places in ((STRATEGY_RANK, frame.places), (STRATEGY_GD, frame.gd_places)):
-        row_sums = sums[strategy] = []
-        last = None
-        for row in places:
-            if row is not last:
-                last = row
-                pair = (
-                    sum(map(abs, map(sub, row, final))),
-                    2 * (squares - sum(map(mul, row, final))),
-                )
-            row_sums.append(pair)
+
+    # Per strategy and round, the sums over teams of |place error| and its
+    # square: places are permutations of 1..n, so the sum of (p - f)^2 is
+    # 2 * (sum of f^2 - sum of p * f). The gd rows order as predicted_order_by_gd.
+    def error_sums(row: list[int]) -> tuple[int, int]:
+        return sum(map(abs, map(sub, row, final))), 2 * (squares - sum(map(mul, row, final)))
+
+    rows = {STRATEGY_RANK: frame.places, STRATEGY_GD: frame.gd_places}
+    sums = {strategy: per_round(rows[strategy], error_sums) for strategy in STRATEGIES}
     records: list[RoundForecast] = []
     threshold_rounds: dict[str, int | None] = {s: None for s in STRATEGIES}
     gd_better: list[int] = []
     for rnd in range(1, dataset.rounds + 1):
         for strategy in STRATEGIES:
-            abs_sum, sq_sum = sums[strategy][rnd]
+            abs_sum, sq_sum = sums[strategy][rnd - 1]
             value = Fraction(abs_sum, n)
             records.append(
                 RoundForecast(
@@ -115,7 +104,7 @@ def evaluate_season(
             )
             if threshold_rounds[strategy] is None and value < cutoff:
                 threshold_rounds[strategy] = rnd
-        if sums[STRATEGY_GD][rnd][0] < sums[STRATEGY_RANK][rnd][0]:
+        if sums[STRATEGY_GD][rnd - 1][0] < sums[STRATEGY_RANK][rnd - 1][0]:
             gd_better.append(rnd)
     return ForecastReport(
         season=dataset.season,

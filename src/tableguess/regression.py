@@ -13,7 +13,7 @@ from operator import index, mul
 from typing import Iterable
 
 from ._record import Record
-from .league import SeasonDataset
+from .league import SeasonDataset, per_round
 
 KIND_TABLE_RANK = "table_rank"
 KIND_GOAL_DIFFERENCE = "goal_difference"
@@ -42,11 +42,9 @@ def _r_squared(cxy: int, cxx: int, cyy: int) -> float | None:
     c_uv = n * sum(u * v) - sum(u) * sum(v), rounded once.
 
     It is exact before that rounding, so it always lies in [0, 1]. It is
-    None when y is constant (cyy = 0).
+    None when x or y is constant (cxx or cyy = 0).
     """
-    if cxx == 0:
-        raise DegeneratePredictorError("predictor has zero variance")
-    return None if cyy == 0 else cxy * cxy / (cxx * cyy)
+    return cxy * cxy / (cxx * cyy) if cxx and cyy else None
 
 
 def _scaled(values: Iterable, name: str) -> tuple[list[int], int]:
@@ -85,13 +83,14 @@ def simple_ols(x: Iterable[float], y: Iterable[float]) -> OlsFit:
         raise ValueError(f"need at least 3 points, got {n}")
     sx, sy = sum(xs), sum(ys)
     cxx = n * sum(map(mul, xs, xs)) - sx * sx
+    if cxx == 0:
+        raise DegeneratePredictorError("predictor has zero variance")
     cxy = n * sum(map(mul, xs, ys)) - sx * sy
     cyy = n * sum(map(mul, ys, ys)) - sy * sy
-    r_squared = _r_squared(cxy, cxx, cyy)
     return OlsFit(
         beta0=(sy * cxx - cxy * sx) / (n * cxx * y_scale),
         beta1=cxy * x_scale / (cxx * y_scale),
-        r_squared=r_squared,
+        r_squared=_r_squared(cxy, cxx, cyy),
         n_points=n,
     )
 
@@ -109,19 +108,14 @@ def r2_curve(dataset: SeasonDataset, kind: str) -> R2Curve:
     y = frame.places[-1]
     sy = sum(y)
     cyy = n * sum(map(mul, y, y)) - sy * sy
-    # a round without matches shares the row before it, and its value
-    per_row: list[float | None] = []
-    last = None
-    for x in frame.places if kind == KIND_TABLE_RANK else frame.gd:
-        if x is not last:
-            last = x
-            sx = sum(x)
-            cxx = n * sum(map(mul, x, x)) - sx * sx
-            cxy = n * sum(map(mul, x, y)) - sx * sy
-            value = None if cxx == 0 else _r_squared(cxy, cxx, cyy)
-        per_row.append(value)
-    points = tuple(enumerate(per_row[1:], start=1))
-    return R2Curve(season=dataset.season, kind=kind, points=points)
+
+    def r_squared(x: list[int]) -> float | None:
+        sx = sum(x)
+        cxx = n * sum(map(mul, x, x)) - sx * sx
+        return _r_squared(n * sum(map(mul, x, y)) - sx * sy, cxx, cyy)
+
+    values = per_round(frame.places if kind == KIND_TABLE_RANK else frame.gd, r_squared)
+    return R2Curve(season=dataset.season, kind=kind, points=tuple(enumerate(values, start=1)))
 
 
 def threshold_round(curve: R2Curve, threshold: float) -> int | None:

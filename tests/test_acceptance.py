@@ -212,7 +212,7 @@ def test_c9_sparse_season_scores_each_table_once():
         for i in range(0, 1000, 2)
     ]
     matches.append(league.MatchRecord("sparse", 2000, teams[0], teams[3], 2, 0))
-    dataset = league.build_dataset(matches)
+    dataset = league.SeasonDataset(matches)
     assert dataset.rounds == 2000
 
     best = min(_timed(lambda: predictor.evaluate_season(dataset)) for _ in range(3))

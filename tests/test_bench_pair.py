@@ -244,6 +244,50 @@ def test_a_failed_run_keeps_the_runs_before_it(tmp_path, monkeypatch):
     assert report["summary"]["trace0"]["latency_p50_ms"]["pairs"] == 1
 
 
+@pytest.mark.parametrize(
+    "stdout", ["", "12.5 ms\n", '{"correct": true}\nTraceback\n', "[1, 2]\n", "x" * 1000 + "\n"],
+    ids=["empty", "not-json", "not-last", "not-an-object", "long"],
+)
+def test_a_malformed_result_line_keeps_the_runs_before_it(tmp_path, monkeypatch, stdout):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "workloads": [{"name": "season"}], "end_to_end": [], "per_layer": []}\n'
+    )
+    # a stand-in run.py that exits 0 without a JSON object on its last line
+    stand_in = tmp_path / "stand-in"
+    (stand_in / "perfbench").mkdir(parents=True)
+    (stand_in / "perfbench" / "run.py").write_text(f"import sys\nsys.stdout.write({stdout!r})\n")
+    real_run_once = bench_pair.run_once
+    calls = []
+
+    def run_once(checkout, env, workload, seed, seconds, trace):
+        calls.append(checkout)
+        if len(calls) == 3:
+            return real_run_once(stand_in, env, workload, seed, seconds, trace)
+        return result(5.0, 20.0)
+
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair, "export", lambda rev, target: "0" * 40)
+    monkeypatch.setattr(bench_pair, "copy_tracked", lambda root, target: None)
+    monkeypatch.setattr(bench_pair, "host_probe", lambda checkout, env: 30.0)
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    monkeypatch.setattr(bench_pair, "worktree_state", lambda root: ("1" * 40, False))
+    code = bench_pair.main(
+        ["--parent", "HEAD~1", "--workload", "season", "--label", "x", "--pairs", "3"]
+    )
+    assert code == 1
+    assert len(calls) == 3
+    report = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert [(run["pair"], run["side"]) for run in report["runs"]] == [
+        (0, "parent"), (0, "change"),
+    ]
+    first = report["runs"][0]["seed"]
+    assert report["failed"] == {
+        "trace": 0, "pair": 1, "seed": first + 1, "side": "change",
+        "malformed": True, "stdout": stdout[-800:],
+    }
+    assert report["summary"]["trace0"]["latency_p50_ms"]["pairs"] == 1
+
+
 def test_both_sides_run_copies_in_the_callers_environment(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(
         '{"run_seconds": 1, "workloads": [{"name": "season"}], "end_to_end": [], "per_layer": []}\n'

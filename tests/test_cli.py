@@ -375,6 +375,12 @@ class TestR2:
             assert set(payload["threshold_rounds"]) == {"table_rank", "goal_difference"}
         assert None in (record["r_squared"] for record in payload["records"])
 
+    @pytest.mark.parametrize("threshold", ["2", "0", "-1", "nan"])
+    def test_a_bad_threshold_is_refused_before_the_file_is_read(self, capsys, threshold):
+        code, out, err = run(capsys, "r2", "/no/such/matches.csv", "--threshold", threshold)
+        assert (code, out) == (2, "")
+        assert err == f"error: --threshold must be within (0, 1], got {float(threshold)}\n"
+
     def test_missing_matches_file(self, capsys):
         code, _, err = run(capsys, "r2", "/no/such/matches.csv")
         assert code == 2
@@ -429,15 +435,16 @@ class TestPredict:
 
     @pytest.mark.parametrize(
         "mark",
-        ["\n", "\x85", "\u2028", "\u2029", "\v", "\f", "\x1c", "\x1d", "\x1e"],
+        ["\n", "\r", "\x85", "\u2028", "\u2029", "\v", "\f", "\x1c", "\x1d", "\x1e"],
         ids=lambda mark: f"U+{ord(mark):04X}",
     )
     def test_names_holding_a_line_break_round_trip(self, capsys, tmp_path, mark):
-        """A name holding a quoted newline, or a character that Unicode but
-        not CSV counts as a line break, reads back from predict's table."""
+        """A name holding a quoted newline or carriage return, or a character
+        that Unicode but not CSV counts as a line break, reads back from
+        predict's table."""
         a, b = f"A{mark}1", f"B{mark}2"
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(
+        csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerows(
             [league.MATCH_FIELDS, ("S", 1, a, b, 0, 2), ("S", 1, "C", "D", 1, 1), ("S", 2, a, "C", 3, 0)]
         )
         matches, table, order = tmp_path / "m.csv", tmp_path / "t.csv", tmp_path / "t.json"

@@ -180,7 +180,6 @@ class TestRejections:
         routes = (
             SeasonDataset,
             lambda m: SeasonDataset(matches=m),
-            league.build_dataset,
             lambda m: pickle.loads(pickle.dumps(forged)),
         )
         for route in routes:

@@ -357,6 +357,9 @@ class TestMonteCarlo:
             monte_carlo_mae(1000, 10**8, 1)
         with pytest.raises(ValueError, match="n \\* samples must be at most"):
             monte_carlo_mae(20, permstats.MC_MAX_WORK // 20 + 1, 1)
+        # one sample is far within the work bound, but the league is too large
+        with pytest.raises(ValueError, match="^league size must be at most 1000, got 1001$"):
+            monte_carlo_mae(1001, 1, 1)
 
     def test_work_bound_is_two_billion_inclusive(self, monkeypatch):
         assert permstats.MC_MAX_WORK == 2 * 10**9

@@ -20,7 +20,6 @@ from tableguess.league import (
     MatchFileError,
     MatchRecord,
     SeasonDataset,
-    build_dataset,
     parse_matches,
 )
 
@@ -122,7 +121,7 @@ def match_files(draw) -> tuple[str, list[tuple]]:
 def test_parsed_file_equals_records_built_in_code(case):
     text, rows = case
     parsed = parse_matches(io.StringIO(text, newline=""))
-    built = build_dataset(MatchRecord(*row) for row in rows)
+    built = SeasonDataset(MatchRecord(*row) for row in rows)
     assert parsed == built
     assert vars(parsed._frame) == vars(built._frame)
     for got, want in zip(parsed.matches, built.matches, strict=True):

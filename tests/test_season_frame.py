@@ -70,7 +70,7 @@ def naive_table(matches: list[MatchRecord], upto: int) -> StandingsTable:
 @settings(deadline=None)
 @given(seasons())
 def test_standings_equal_a_naive_tally(matches):
-    dataset = league.build_dataset(matches)
+    dataset = league.SeasonDataset(matches)
     expected = [naive_table(matches, r) for r in range(1, dataset.rounds + 1)]
     series = league.standings_series(dataset)
     assert series == expected
@@ -81,21 +81,29 @@ def test_standings_equal_a_naive_tally(matches):
         assert all(type(value) is int for value in vars(row).values() if value != row.team)
 
 
+def gd_key(row: StandingsRow):
+    """The gd order's key, independent of the library's stable sort."""
+    return (-row.goal_difference, -row.points, -row.goals_for, row.team)
+
+
 @settings(deadline=None)
 @given(seasons())
 def test_evaluate_and_curves_equal_per_table_scoring(matches):
-    dataset = league.build_dataset(matches)
+    dataset = league.SeasonDataset(matches)
     tables = [naive_table(matches, r) for r in range(1, dataset.rounds + 1)]
     final_order = [row.team for row in tables[-1].rows]
     n = len(final_order)
     report = predictor.evaluate_season(dataset)
     expected = []
     for table in tables:
-        for strategy, predict in (
-            (predictor.STRATEGY_RANK, predictor.predicted_order_by_rank),
-            (predictor.STRATEGY_GD, predictor.predicted_order_by_gd),
+        gd_order = tuple(row.team for row in sorted(table.rows, key=gd_key))
+        built = league.standings_at_round(dataset, table.round)
+        assert predictor.predicted_order_by_gd(built) == gd_order
+        for strategy, order in (
+            (predictor.STRATEGY_RANK, predictor.predicted_order_by_rank(table)),
+            (predictor.STRATEGY_GD, gd_order),
         ):
-            ranking = permstats.ranking_from_orders(final_order, predict(table))
+            ranking = permstats.ranking_from_orders(final_order, order)
             expected.append(
                 (table.round, strategy, permstats.mae(ranking), permstats.mse(ranking))
             )
@@ -145,7 +153,7 @@ def test_one_tally_serves_evaluate_and_both_curves(monkeypatch, synthetic_path):
 
 
 def test_a_round_without_matches_shares_the_row_before_it():
-    frame = league.build_dataset(
+    frame = league.SeasonDataset(
         [MatchRecord("S", 1, "A", "B", 1, 0), MatchRecord("S", 3, "B", "A", 2, 2)]
     )._frame
     lists = (

@@ -25,9 +25,10 @@ records the machine, the seeds, every result line with its probe and,
 per metric, each side's median and quartiles and the pairs the change
 won; each end-to-end metric of BENCHMARK.json also gets the verdicts
 ``gain``, ``within_bound`` and ``unresolved`` (see ``verdicts``). If a
-run exits non-zero, no more runs start: the file is written with the
-runs so far and a ``failed`` entry naming that run, its exit code and
-the tail of its stderr, and the tool exits 1.
+run exits non-zero, or its last stdout line is not a JSON object, no
+more runs start: the file is written with the runs so far and a
+``failed`` entry naming that run, with its exit code and the tail of its
+stderr, or the tail of its malformed stdout, and the tool exits 1.
 """
 
 from __future__ import annotations
@@ -111,9 +112,15 @@ def copy_tracked(root: Path, target: Path) -> None:
 LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 
 
+class MalformedResult(Exception):
+    """A run exited 0, but its last stdout line is not a JSON object; the
+    argument is the tail of its stdout."""
+
+
 def run_once(checkout: Path, env: dict, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``, started by ``LAUNCHER``;
-    its last stdout line, parsed."""
+    its last stdout line, parsed. Raises ``CalledProcessError`` if the run
+    exits non-zero and ``MalformedResult`` if that line is no JSON object."""
     proc = subprocess.run(
         [sys.executable, "-c", LAUNCHER, sys.executable, "perfbench/run.py",
          "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -121,7 +128,13 @@ def run_once(checkout: Path, env: dict, workload: str, seed: int, seconds: int, 
         cwd=checkout, env=env, capture_output=True, text=True,
     )
     proc.check_returncode()
-    return json.loads(proc.stdout.splitlines()[-1])
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if not isinstance(result, dict):
+        raise MalformedResult(proc.stdout[-800:])
+    return result
 
 
 def host_probe(checkout: Path, env: dict) -> float:
@@ -259,13 +272,16 @@ def main(argv: list[str] | None = None) -> int:
             probe = host_probe(checkouts[side], env)
             try:
                 result = run_once(checkouts[side], env, args.workload, seed, seconds, trace)
-            except subprocess.CalledProcessError as exc:
+            except (subprocess.CalledProcessError, MalformedResult) as exc:
                 # keep the runs so far: the report is written with this entry
-                failed = {
-                    "trace": trace, "pair": pair, "seed": seed, "side": side,
-                    "exit_code": exc.returncode, "stderr": exc.stderr[-800:],
-                }
-                print(f"{side} run of pair {pair} exited {exc.returncode}", file=sys.stderr)
+                if isinstance(exc, MalformedResult):
+                    outcome = {"malformed": True, "stdout": exc.args[0]}
+                    why = "printed no JSON result"
+                else:
+                    outcome = {"exit_code": exc.returncode, "stderr": exc.stderr[-800:]}
+                    why = f"exited {exc.returncode}"
+                failed = {"trace": trace, "pair": pair, "seed": seed, "side": side, **outcome}
+                print(f"{side} run of pair {pair} {why}", file=sys.stderr)
                 break
             runs.append({
                 "trace": trace, "pair": pair, "seed": seed, "side": side,

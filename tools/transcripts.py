@@ -90,6 +90,7 @@ COMMANDS = [
     ("refuse-predict-round-27", ["predict", SEASON, "--round", "27"]),
     ("refuse-evaluate-fraction-0", ["evaluate", SEASON, "--baseline-fraction", "0"]),
     ("refuse-evaluate-fraction-inf", ["evaluate", SEASON, "--baseline-fraction", "inf"]),
+    ("refuse-r2-threshold", ["r2", SEASON, "--threshold", "2"]),
     # match files
     ("refuse-matches-missing", ["r2", "inputs/missing.csv"]),
     ("refuse-matches-empty", ["r2", "inputs/empty.csv"]),

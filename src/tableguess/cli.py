@@ -151,15 +151,8 @@ def _table_entries(text: str) -> Iterator[tuple[str, int, str]]:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
 
 
-def _check_n(n: int | None) -> None:
-    """Refuse an ``--n`` outside the leagues ``score_stats`` takes."""
-    if n is not None and not 2 <= n <= permstats.STATS_MAX_N:
-        bound = "at least 2" if n < 2 else f"at most {permstats.STATS_MAX_N}"
-        raise ValueError(f"--n must be {bound}, got {n}")
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
-    _check_n(args.n)
+    permstats.check_sizes(args.n, n_name="--n")
     # ScoreStats's fields, in the printed order
     stats = vars(permstats.score_stats(args.n))
     obj = {
@@ -227,25 +220,11 @@ def _verify_mc(n: int, samples: int, seed: int) -> tuple[bool, str]:
     return passed, line
 
 
-def _check_verify_limits(args: argparse.Namespace) -> None:
-    _check_n(args.n)
-    if args.samples is None:
-        return
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    work = permstats.MC_MAX_WORK
-    if args.n is not None and args.n * args.samples > work:
-        raise ValueError(
-            f"--samples must be at most {work // args.n} at --n {args.n}, so that "
-            f"--n x --samples stays within {work}, got {args.samples}"
-        )
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.exact is None and not args.mc:
         raise ValueError("choose --exact RANGE and/or --mc")
     exact = None if args.exact is None else _exact_range(args.exact)
-    _check_verify_limits(args)
+    permstats.check_sizes(args.n, args.samples, "--n", "--samples")
     if args.samples is not None and args.seed is None:
         raise ValueError("--samples requires --seed for reproducibility")
     if args.mc and (args.n is None or args.samples is None or args.seed is None):
@@ -275,10 +254,10 @@ def _cmd_mae(args: argparse.Namespace) -> int:
 
 
 def _cmd_r2(args: argparse.Namespace) -> int:
-    if args.threshold is not None and not 0.0 < args.threshold <= 1.0:
-        raise ValueError(f"--threshold must be within (0, 1], got {args.threshold}")
     from . import league, regression
 
+    if args.threshold is not None:
+        regression.check_threshold(args.threshold, "--threshold")
     dataset = league.parse_matches(args.matches)
     try:
         curves = [regression.r2_curve(dataset, kind) for kind in regression.CURVE_KINDS]
@@ -323,6 +302,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from . import league, predictor
 
+    predictor.check_baseline_fraction(args.baseline_fraction, "--baseline-fraction")
     dataset = league.parse_matches(args.matches)
     report = predictor.evaluate_season(
         dataset, baseline_fraction=args.baseline_fraction
@@ -331,7 +311,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     summary = report_summary(report)
     _write(args, {"records": records, "summary": summary}, records)
     if args.summary is not None:
-        Path(args.summary).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        _write(argparse.Namespace(output=args.summary, format="json"), summary, [])
     return 0
 
 

@@ -30,6 +30,28 @@ STATS_MAX_N = 1000
 MC_MAX_WORK = 2 * 10**9
 
 
+def check_sizes(
+    n: int | None,
+    samples: int | None = None,
+    n_name: str = "league size",
+    samples_name: str = "samples",
+) -> None:
+    """Refuse n outside 2..``STATS_MAX_N``, samples below 1 or n * samples above
+    ``MC_MAX_WORK``, calling each by its given name; a None is not checked."""
+    if n is not None and not 2 <= n <= STATS_MAX_N:
+        bound = "at least 2" if n < 2 else f"at most {STATS_MAX_N}"
+        raise ValueError(f"{n_name} must be {bound}, got {n}")
+    if samples is None:
+        return
+    if samples < 1:
+        raise ValueError(f"{samples_name} must be at least 1, got {samples}")
+    if n is not None and n * samples > MC_MAX_WORK:
+        raise ValueError(
+            f"{samples_name} must be at most {MC_MAX_WORK // n} at {n_name} {n}, so that "
+            f"{n_name} x {samples_name} stays within {MC_MAX_WORK}, got {samples}"
+        )
+
+
 class DimensionMismatchError(ValueError):
     """Two rankings of different length were compared."""
 
@@ -167,10 +189,7 @@ def score_stats(n: int) -> ScoreStats:
 
     Refuses n above ``STATS_MAX_N``.
     """
-    if n < 2:
-        raise ValueError(f"league size must be at least 2, got {n}")
-    if n > STATS_MAX_N:
-        raise ValueError(f"league size must be at most {STATS_MAX_N}, got {n}")
+    check_sizes(n)
     expected_score = Fraction(n * n - 1, 3)
     variance_score = Fraction((n + 1) * (2 * n * n + 7), 45)
     max_score = n * n // 2
@@ -209,12 +228,11 @@ def brute_force_distribution(n: int) -> ScoreDistribution:
     The independent oracle behind the closed forms; refuses n above
     ``ORACLE_MAX_N``.
     """
-    if n < 2:
-        raise ValueError(f"league size must be at least 2, got {n}")
     if n > ORACLE_MAX_N:
         raise OracleCapError(
             f"enumeration of {n}! permutations exceeds the ceiling of {ORACLE_MAX_N}"
         )
+    check_sizes(n)
     from . import _kernels
 
     counts = _kernels.score_distribution_counts(n)
@@ -258,16 +276,7 @@ def monte_carlo_mae(n: int, samples: int, seed: int) -> MonteCarloSummary:
     see tableguess._kernels for the guarantee. Refuses n above
     ``STATS_MAX_N`` and n * samples above ``MC_MAX_WORK``.
     """
-    if n < 2:
-        raise ValueError(f"league size must be at least 2, got {n}")
-    if n > STATS_MAX_N:
-        raise ValueError(f"league size must be at most {STATS_MAX_N}, got {n}")
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    if n * samples > MC_MAX_WORK:
-        raise ValueError(
-            f"n * samples must be at most {MC_MAX_WORK}, got {n} * {samples}"
-        )
+    check_sizes(n, samples)
     from . import _kernels
 
     total, total_sq, lo, hi = _kernels.mc_score_moments(n, samples, seed)

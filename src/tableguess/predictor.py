@@ -58,22 +58,26 @@ class ForecastReport(Record):
     gd_better_rounds: tuple[int, ...]
 
 
+def check_baseline_fraction(fraction: float | Fraction, name: str = "baseline fraction") -> float:
+    """Refuse a fraction unless it is finite, positive and within a float's
+    range, in that order, calling it ``name``; return it as a float."""
+    if isinstance(fraction, float) and not math.isfinite(fraction):
+        raise ValueError(f"{name} must be finite, got {fraction}")
+    if not fraction > 0:
+        raise ValueError(f"{name} must be positive, got {fraction}")
+    try:
+        return float(fraction)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float, got {fraction}") from None
+
+
 def evaluate_season(
     dataset: SeasonDataset, *, baseline_fraction: float | Fraction = 0.5
 ) -> ForecastReport:
     """Score both strategies at every round against the final table. The
     threshold compares exact values: a float ``baseline_fraction`` is read
     as its shortest decimal, so 0.8 is 4/5."""
-    if not 0.0 < baseline_fraction:
-        raise ValueError(f"baseline fraction must be positive, got {baseline_fraction}")
-    if isinstance(baseline_fraction, float) and not math.isfinite(baseline_fraction):
-        raise ValueError(f"baseline fraction must be finite, got {baseline_fraction}")
-    try:
-        as_float = float(baseline_fraction)
-    except OverflowError:
-        raise ValueError(
-            f"baseline fraction is too large for a float, got {baseline_fraction}"
-        ) from None
+    as_float = check_baseline_fraction(baseline_fraction)
     frame = dataset._frame
     n = len(dataset.teams)
     baseline = permstats.score_stats(n).expected_mae

@@ -118,10 +118,15 @@ def r2_curve(dataset: SeasonDataset, kind: str) -> R2Curve:
     return R2Curve(season=dataset.season, kind=kind, points=tuple(enumerate(values, start=1)))
 
 
+def check_threshold(threshold: float, name: str = "threshold") -> None:
+    """Refuse a threshold outside (0, 1], or nan, calling it ``name``."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"{name} must be within (0, 1], got {threshold}")
+
+
 def threshold_round(curve: R2Curve, threshold: float) -> int | None:
     """First round whose defined R-squared reaches the threshold, if any."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    check_threshold(threshold)
     for rnd, value in curve.points:
         if value is not None and value >= threshold:
             return rnd

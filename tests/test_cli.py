@@ -1,12 +1,11 @@
-import argparse
 import csv
 import io
 import json
 
 import pytest
 
-from tableguess import league
-from tableguess.cli import _check_verify_limits, main, read_table_file
+from tableguess import league, permstats
+from tableguess.cli import main, read_table_file
 from tableguess.permstats import MC_MAX_WORK, ORACLE_MAX_N, STATS_MAX_N
 from conftest import FLAT_SEASON_CSV, DRAWISH_SEASON_CSV, curve_rows, report_rows
 
@@ -174,10 +173,10 @@ class TestVerify:
         assert err.startswith(f"error: {flag} must be")
 
     def test_mc_work_is_bounded_by_n_times_samples(self):
-        _check_verify_limits(argparse.Namespace(n=20, samples=10**8))
-        _check_verify_limits(argparse.Namespace(n=1000, samples=MC_MAX_WORK // 1000))
+        permstats.check_sizes(20, 10**8, "--n", "--samples")
+        permstats.check_sizes(1000, MC_MAX_WORK // 1000, "--n", "--samples")
         with pytest.raises(ValueError, match="--n x --samples") as info:
-            _check_verify_limits(argparse.Namespace(n=1000, samples=10**8))
+            permstats.check_sizes(1000, 10**8, "--n", "--samples")
         assert str(info.value).startswith(f"--samples must be at most {MC_MAX_WORK // 1000}")
 
     def test_largest_allowed_values_run(self, capsys):
@@ -508,7 +507,20 @@ class TestEvaluate:
         code, out, err = run(capsys, "evaluate", synthetic_path, "--baseline-fraction", fraction)
         assert code == 2
         assert out == ""
-        assert err == "error: baseline fraction must be finite, got inf\n"
+        assert err == "error: --baseline-fraction must be finite, got inf\n"
+
+    @pytest.mark.parametrize(
+        "fraction, rule",
+        [("0", "positive"), ("-1", "positive"), ("inf", "finite"), ("nan", "finite")],
+        ids=["0", "-1", "inf", "nan"],
+    )
+    def test_a_bad_baseline_fraction_is_refused_before_the_file_is_read(
+        self, capsys, fraction, rule
+    ):
+        argv = ("evaluate", "/no/such/matches.csv", "--baseline-fraction", fraction)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --baseline-fraction must be {rule}, got {float(fraction)}\n"
 
     def test_a_mae_equal_to_the_cutoff_is_not_below_it(self, capsys, synthetic_path):
         code, out, _ = run(

@@ -8,6 +8,8 @@ import pytest
 
 import tableguess
 from tableguess.cli import build_parser
+from tableguess.league import ROUND_LIMIT
+from tableguess.permstats import ORACLE_MAX_N, STATS_MAX_N
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -43,3 +45,12 @@ def test_library_names_are_exported():
     names = set(re.findall(r"\btg\.(\w+)", library))
     assert names
     assert names <= set(tableguess.__all__)
+
+
+@pytest.mark.parametrize(
+    "stated",
+    [f"2..{STATS_MAX_N}", f"2..{ORACLE_MAX_N}", f"1..{ROUND_LIMIT}"],
+    ids=["stats-n", "exact", "rounds"],
+)
+def test_readme_states_each_range_with_its_constant(stated):
+    assert re.search(rf"(?<![\w.]){re.escape(stated)}(?![\w.])", README)

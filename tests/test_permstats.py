@@ -353,9 +353,17 @@ class TestMonteCarlo:
             raise AssertionError("sampling started before the work bound was checked")
 
         monkeypatch.setattr(_kernels, "mc_score_moments", refuse)
-        with pytest.raises(ValueError, match="n \\* samples must be at most"):
+        with pytest.raises(
+            ValueError,
+            match="^samples must be at most 2000000 at league size 1000, so that "
+            "league size x samples stays within 2000000000, got 100000000$",
+        ):
             monte_carlo_mae(1000, 10**8, 1)
-        with pytest.raises(ValueError, match="n \\* samples must be at most"):
+        with pytest.raises(
+            ValueError,
+            match="^samples must be at most 100000000 at league size 20, so that "
+            "league size x samples stays within 2000000000, got 100000001$",
+        ):
             monte_carlo_mae(20, permstats.MC_MAX_WORK // 20 + 1, 1)
         # one sample is far within the work bound, but the league is too large
         with pytest.raises(ValueError, match="^league size must be at most 1000, got 1001$"):
@@ -373,7 +381,11 @@ class TestMonteCarlo:
         assert monte_carlo_mae(2, 10**9, 1).samples == 10**9
         assert runs == [(2, 10**9)]
         # 3 * 666666667 is one more than the bound
-        with pytest.raises(ValueError, match="n \\* samples must be at most"):
+        with pytest.raises(
+            ValueError,
+            match="^samples must be at most 666666666 at league size 3, so that "
+            "league size x samples stays within 2000000000, got 666666667$",
+        ):
             monte_carlo_mae(3, 666_666_667, 1)
         assert runs == [(2, 10**9)]
 

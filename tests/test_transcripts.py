@@ -33,3 +33,26 @@ def test_each_command_has_one_transcript():
 def test_transcript_is_unchanged(staged, path):
     argv = json.loads(path.read_text(encoding="utf-8"))["argv"]
     assert transcripts.transcript(argv, staged).encode() == path.read_bytes()
+
+
+def test_a_command_that_raises_leaves_the_transcripts_as_they_were(tmp_path, monkeypatch):
+    kept, stale = tmp_path / "stats.json", tmp_path / "stale.json"
+    kept.write_text("old\n", encoding="utf-8")
+    stale.write_text("stale\n", encoding="utf-8")
+    run = transcripts.transcript
+
+    def transcript(argv, directory):
+        if argv == ["boom"]:
+            raise RuntimeError("boom")
+        return run(argv, directory)
+
+    monkeypatch.setattr(transcripts, "transcript", transcript)
+    stats = ("stats", ["stats", "--n", "4"])
+    with pytest.raises(RuntimeError, match="boom"):
+        transcripts.write_transcripts([stats, ("broken", ["boom"])], tmp_path)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["stale.json", "stats.json"]
+    assert kept.read_text(encoding="utf-8") == "old\n"
+
+    transcripts.write_transcripts([stats], tmp_path)
+    assert [path.name for path in tmp_path.iterdir()] == ["stats.json"]
+    assert json.loads(kept.read_text(encoding="utf-8"))["argv"] == ["stats", "--n", "4"]

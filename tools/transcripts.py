@@ -90,6 +90,11 @@ COMMANDS = [
     ("refuse-predict-round-27", ["predict", SEASON, "--round", "27"]),
     ("refuse-evaluate-fraction-0", ["evaluate", SEASON, "--baseline-fraction", "0"]),
     ("refuse-evaluate-fraction-inf", ["evaluate", SEASON, "--baseline-fraction", "inf"]),
+    # refused before the file is read, so no missing-file error
+    (
+        "refuse-evaluate-fraction-nan",
+        ["evaluate", "inputs/missing.csv", "--baseline-fraction", "nan"],
+    ),
     ("refuse-r2-threshold", ["r2", SEASON, "--threshold", "2"]),
     # match files
     ("refuse-matches-missing", ["r2", "inputs/missing.csv"]),
@@ -163,16 +168,24 @@ def transcript(argv: list[str], directory: Path) -> str:
     return json.dumps(record, indent=1, ensure_ascii=False) + "\n"
 
 
-def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
-    for old in TRANSCRIPTS.glob("*.json"):
-        old.unlink()
+def write_transcripts(commands: list[tuple[str, list[str]]], target: Path) -> None:
+    """Run every command, then write its transcript to ``target`` and remove
+    the transcripts there that no command names. A command that raises
+    leaves ``target`` as it was."""
     with tempfile.TemporaryDirectory() as scratch:
         directory = Path(scratch)
         stage(directory)
-        for name, argv in COMMANDS:
-            text = transcript(argv, directory)
-            (TRANSCRIPTS / f"{name}.json").write_text(text, encoding="utf-8", newline="")
+        texts = {f"{name}.json": transcript(argv, directory) for name, argv in commands}
+    for old in target.glob("*.json"):
+        if old.name not in texts:
+            old.unlink()
+    for name, text in texts.items():
+        (target / name).write_text(text, encoding="utf-8", newline="")
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    write_transcripts(COMMANDS, TRANSCRIPTS)
     print(f"wrote {len(COMMANDS)} transcripts to {TRANSCRIPTS.relative_to(ROOT)}")
     return 0
 

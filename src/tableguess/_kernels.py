@@ -20,8 +20,9 @@ permutations of 10 bytes, 36 MB).
 
 Randomness is counter-based: the value consumed at shuffle step ``i`` of
 sample ``s`` is a SplitMix64-style hash of ``(seed, s, i, retry)``, so
-results cannot depend on chunk size or vectorisation order. Bounded draws
-use modulo with rejection, which keeps the shuffle exactly uniform.
+results cannot depend on block size or vectorisation order. The seed, a
+64-bit key, is checked by ``permstats.check_seed``. Bounded draws use
+modulo with rejection, which keeps the shuffle exactly uniform.
 A block of samples is stored positions x samples, so the column a
 Fisher-Yates step swaps is one contiguous row. The draws are hashed a
 tile at a time: a tile holds the draws of consecutive steps, one row of
@@ -34,13 +35,13 @@ constants of each tile (step hash constants, bounds, rejection limits)
 are built once per call, 24 bytes a step.
 
 A block holds at most ``_BLOCK_SAMPLES`` = 8192 samples and at most
-``_BLOCK_BYTES // (8 n)``. The byte limit bounds memory at large n (21
-samples at n = 30000). The sample cap binds up to n = 80; the byte limit
-allows 8090 samples at n = 81 and 1024 at n = 640. The cap keeps a small
-league's block, and with it the sampler's peak memory, at a quarter of
-what the byte limit allows (1.5 rather than 4.6 MiB traced at n = 20).
-The moments are exact for any n: sums and squares are taken in Python
-ints over the distinct scores of a block.
+``_BLOCK_BYTES // (8 n)``; no caller sets it. The byte limit bounds
+memory at large n (21 samples at n = 30000). The sample cap binds up to
+n = 80; the byte limit allows 8090 samples at n = 81 and 1024 at n = 640.
+The cap keeps a small league's block, and with it the sampler's peak
+memory, at a quarter of what the byte limit allows (1.5 rather than 4.6
+MiB traced at n = 20). The moments are exact for any n: sums and squares
+are taken in Python ints over the distinct scores of a block.
 """
 
 from __future__ import annotations
@@ -49,22 +50,20 @@ import numpy as np
 
 from .permstats import ORACLE_MAX_N
 
-_MASK = (1 << 64) - 1
 _SEED_SALT = 0x8AD64C65E2D4B97F
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _SAMPLE_STRIDE = np.uint64(0x9E3779B97F4A7C15)
 _STEP_STRIDE = np.uint64(0xC2B2AE3D27D4EB4F)
-_MAX = np.uint64(_MASK)
+_MAX = np.uint64((1 << 64) - 1)
 _ONE = np.uint64(1)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
-# A sampler block holds min(_BLOCK_SAMPLES, _BLOCK_BYTES // (8 n)) samples:
-# 8192 up to n = 80, 1024 at n = 640, a few hundred at n in the thousands;
-# see the module docstring. Its int32 positions take at most half of _BLOCK_BYTES.
+# A sampler block holds min(_BLOCK_SAMPLES, _BLOCK_BYTES // (8 n)) samples, as
+# the module docstring says; its int32 positions take at most half of _BLOCK_BYTES.
 _BLOCK_BYTES = 5 << 20
 _BLOCK_SAMPLES = 8192
 # A tile holds the draws of as many steps as fit in _TILE_BYTES of uint64,
@@ -82,22 +81,17 @@ def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def mc_score_moments(
-    n: int, samples: int, seed: int, chunk: int | None = None
-) -> tuple[int, int, int, int]:
+def mc_score_moments(n: int, samples: int, seed: int) -> tuple[int, int, int, int]:
     """Exact (sum, sum of squares, min, max) of the footrule score over
     ``samples`` uniform random permutations of size ``n``.
 
-    Bit-identical for a fixed (n, samples, seed), whatever the block size
-    ``chunk``, which tests set to exercise partial blocks.
+    Bit-identical for a fixed (n, samples, seed), whatever the block size.
+    ``permstats.monte_carlo_mae`` checks samples and seed; only the limit of
+    the int32 positions, 1 <= n < 2^31, is checked here.
     """
     if not 0 < n < 1 << 31:
         raise ValueError(f"league size must be in 1..2**31-1, got {n}")
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    if chunk is None:
-        chunk = max(1, min(_BLOCK_SAMPLES, _BLOCK_BYTES // (8 * n)))
-    chunk = min(chunk, samples)
+    chunk = max(1, min(_BLOCK_SAMPLES, _BLOCK_BYTES // (8 * n), samples))
     rows = max(1, min(n - 1, _TILE_BYTES // (8 * chunk)))
     idx = np.arange(n, dtype=np.int32)
     # Every buffer shares one allocation, which the C allocator keeps for
@@ -111,7 +105,7 @@ def mc_score_moments(
     cols_full[:] = np.arange(chunk, dtype=np.uint64)
     block, vj_buf = np.split(ints.view(np.int32)[: (n + 1) * chunk], [n * chunk])
     # the 64-bit state the sampler starts from
-    h64 = np.array([(int(seed) & _MASK) ^ _SEED_SALT], dtype=np.uint64)
+    h64 = np.array([int(seed) ^ _SEED_SALT], dtype=np.uint64)
     _mix64_inplace(h64, tmp_buf[:1])
     total = 0
     total_sq = 0

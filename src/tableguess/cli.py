@@ -34,11 +34,18 @@ TABLE_FIELDS = ("position", "team")
 
 @contextlib.contextmanager
 def _out(path: str | None) -> Iterator[IO[str]]:
+    """stdout, or ``path`` opened for writing; an error writing or closing
+    ``path`` names it, as one opening it does."""
     if path is None:
         yield sys.stdout
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _write(args: argparse.Namespace, obj, records: list[dict]) -> None:
@@ -225,6 +232,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("choose --exact RANGE and/or --mc")
     exact = None if args.exact is None else _exact_range(args.exact)
     permstats.check_sizes(args.n, args.samples, "--n", "--samples")
+    permstats.check_seed(args.seed, "--seed")
     if args.samples is not None and args.seed is None:
         raise ValueError("--samples requires --seed for reproducibility")
     if args.mc and (args.n is None or args.samples is None or args.seed is None):

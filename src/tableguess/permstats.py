@@ -52,6 +52,12 @@ def check_sizes(
         )
 
 
+def check_seed(seed: int | None, name: str = "seed") -> None:
+    """Refuse a seed outside the sampler's keys 0..2**64-1; a None is not checked."""
+    if seed is not None and not 0 <= seed < 1 << 64:
+        raise ValueError(f"{name} must be within 0..2**64-1, got {seed}")
+
+
 class DimensionMismatchError(ValueError):
     """Two rankings of different length were compared."""
 
@@ -125,14 +131,13 @@ def _place_errors(
     pred: Ranking | Sequence[int], actual: Ranking | Sequence[int] | None
 ) -> list[int]:
     """Check both rankings and their sizes once; return each team's
-    predicted place minus its actual place."""
+    predicted place minus its actual place, its index if ``actual`` is None."""
     p = pred if isinstance(pred, Ranking) else Ranking(tuple(pred))
     if actual is None:
-        a = identity(p.n)
-    else:
-        a = actual if isinstance(actual, Ranking) else Ranking(tuple(actual))
-        if p.n != a.n:
-            raise DimensionMismatchError(f"ranking sizes differ: {p.n} vs {a.n}")
+        return list(map(operator.sub, p.places, range(1, p.n + 1)))
+    a = actual if isinstance(actual, Ranking) else Ranking(tuple(actual))
+    if p.n != a.n:
+        raise DimensionMismatchError(f"ranking sizes differ: {p.n} vs {a.n}")
     return list(map(operator.sub, p.places, a.places))
 
 
@@ -272,11 +277,11 @@ class MonteCarloSummary(Record):
 def monte_carlo_mae(n: int, samples: int, seed: int) -> MonteCarloSummary:
     """Sample ``samples`` uniform random guesses and summarise their MAE.
 
-    Reproducible for a fixed (n, samples, seed) regardless of chunking;
-    see tableguess._kernels for the guarantee. Refuses n above
-    ``STATS_MAX_N`` and n * samples above ``MC_MAX_WORK``.
+    Reproducible for a fixed (n, samples, seed); see tableguess._kernels.
+    Refuses, before sampling, what ``check_sizes`` and ``check_seed`` refuse.
     """
     check_sizes(n, samples)
+    check_seed(seed)
     from . import _kernels
 
     total, total_sq, lo, hi = _kernels.mc_score_moments(n, samples, seed)

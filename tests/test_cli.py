@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +98,18 @@ class TestStats:
         assert out == ""
         assert "expected_mae" in target.read_text()
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_a_failed_write_names_the_output_file(self, capsys):
+        code, out, err = run(capsys, "stats", "--n", "4", "--output", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 28] No space left on device: '/dev/full'\n"
+
+    def test_a_failed_open_keeps_its_message(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "stats.csv"
+        code, _, err = run(capsys, "stats", "--n", "4", "--output", str(target))
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
 
 class TestVerify:
     def test_exact_range_passes(self, capsys):
@@ -155,6 +168,8 @@ class TestVerify:
             ),
             (("--mc", "--n", "1000", "--samples", str(10**8), "--seed", "1"), "--samples"),
             (("--mc", "--n", "1", "--samples", "10", "--seed", "1"), "--n"),
+            (("--mc", "--n", "20", "--samples", "10", "--seed", "-1"), "--seed"),
+            (("--mc", "--n", "20", "--samples", "10", "--seed", str(1 << 64)), "--seed"),
         ],
     )
     def test_out_of_range_flags_exit_two_before_any_work(
@@ -171,6 +186,22 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {flag} must be")
+
+    def test_a_bad_seed_is_refused_before_any_enumeration(self, capsys, enumerated_sizes):
+        code, out, err = run(
+            capsys, "verify", "--exact", "2..10", "--mc", "--n", "20", "--samples", "10",
+            "--seed", "-1",
+        )
+        assert (code, out, enumerated_sizes) == (2, "", [])
+        assert err == "error: --seed must be within 0..2**64-1, got -1\n"
+
+    def test_the_64_bit_seed_range_is_inclusive(self, capsys):
+        for seed in (0, (1 << 64) - 1):
+            code, out, _ = run(
+                capsys, "verify", "--mc", "--n", "4", "--samples", "10", "--seed", str(seed)
+            )
+            assert code == 0
+            assert out.endswith(f"seed {seed})\n")
 
     def test_mc_work_is_bounded_by_n_times_samples(self):
         permstats.check_sizes(20, 10**8, "--n", "--samples")
@@ -488,6 +519,15 @@ class TestEvaluate:
         payload = json.loads(out_json)
         assert payload["records"] == report_rows(out_csv)
         assert payload["summary"]["baseline_expected_mae"]["exact"] == "65/14"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_a_failed_summary_write_names_the_file(self, capsys, synthetic_path, tmp_path):
+        code, _, err = run(
+            capsys, "evaluate", synthetic_path, "--output", str(tmp_path / "records.csv"),
+            "--summary", "/dev/full",
+        )
+        assert code == 2
+        assert err == "error: [Errno 28] No space left on device: '/dev/full'\n"
 
     def test_summary_file(self, capsys, synthetic_path, tmp_path):
         target = tmp_path / "summary.json"

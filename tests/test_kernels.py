@@ -103,10 +103,19 @@ def _footrule_counts(n: int) -> list[int]:
     return counts
 
 
+def set_block(monkeypatch, block: int | None) -> None:
+    """Cap the sampler's blocks at ``block`` samples, or leave its own size
+    when None; no test here is wide enough for the byte limit to bind."""
+    if block is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_SAMPLES", block)
+
+
 class TestNumpyLane:
-    def test_chunk_size_cannot_change_results(self):
-        small = _kernels.mc_score_moments(9, 4321, 77, chunk=17)
-        large = _kernels.mc_score_moments(9, 4321, 77, chunk=1 << 15)
+    def test_chunk_size_cannot_change_results(self, monkeypatch):
+        set_block(monkeypatch, 17)
+        small = _kernels.mc_score_moments(9, 4321, 77)
+        set_block(monkeypatch, 1 << 15)
+        large = _kernels.mc_score_moments(9, 4321, 77)
         assert small == large
 
     def test_counts_match_direct_enumeration(self):
@@ -156,27 +165,37 @@ class TestNumpyLane:
         assert peak < 5 << 19
 
 
+PINNED_CASES = [
+    (*case, block)
+    for case in PINNED_MOMENTS
+    for block in (None, 1, 17)
+    # one-sample blocks cost a Python loop per sample
+    if block != 1 or case[0] * case[1] <= 100_000
+]
+
+
+def pinned_id(case: tuple) -> str:
+    """``n200-s3000-seed5-block17``; ``blockdefault`` is the sampler's own size."""
+    n, samples, seed, _, block = case
+    return f"n{n}-s{samples}-seed{seed}-block{'default' if block is None else block}"
+
+
 class TestSampler:
     @pytest.mark.parametrize(
-        "n, samples, seed, moments, chunk",
-        [
-            (*case, chunk)
-            for case in PINNED_MOMENTS
-            for chunk in (None, 1, 17)
-            # one-sample blocks cost a Python loop per sample
-            if chunk != 1 or case[0] * case[1] <= 100_000
-        ],
+        "n, samples, seed, moments, block", PINNED_CASES, ids=[pinned_id(c) for c in PINNED_CASES]
     )
-    def test_seeded_moments_are_pinned(self, n, samples, seed, moments, chunk):
-        assert _kernels.mc_score_moments(n, samples, seed, chunk) == moments
+    def test_seeded_moments_are_pinned(self, monkeypatch, n, samples, seed, moments, block):
+        set_block(monkeypatch, block)
+        assert _kernels.mc_score_moments(n, samples, seed) == moments
 
-    def test_partial_last_tile_and_block_are_pinned(self):
+    def test_partial_last_tile_and_block_are_pinned(self, monkeypatch):
         n, samples, seed, moments = PINNED_MOMENTS[3]
-        chunk = 1100
-        rows = _kernels._TILE_BYTES // (8 * chunk)
+        block = 1100
+        rows = _kernels._TILE_BYTES // (8 * block)
         # neither do the steps fill whole tiles nor the samples whole blocks
-        assert (n - 1) % rows and samples % chunk
-        assert _kernels.mc_score_moments(n, samples, seed, chunk) == moments
+        assert (n - 1) % rows and samples % block
+        set_block(monkeypatch, block)
+        assert _kernels.mc_score_moments(n, samples, seed) == moments
 
     def test_matches_the_python_reference_sampler(self):
         # scores near 3.3e9 at n = 100000 take the int64 sum

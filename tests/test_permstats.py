@@ -348,6 +348,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_mae(5, 0, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 42])
+    def test_a_seed_outside_64_bits_is_refused_before_sampling(self, monkeypatch, seed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started before the seed was checked")
+
+        monkeypatch.setattr(_kernels, "mc_score_moments", refuse)
+        with pytest.raises(ValueError, match=rf"^seed must be within 0\.\.2\*\*64-1, got {seed}$"):
+            monte_carlo_mae(20, 10, seed)
+
     def test_work_bound_refuses_before_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sampling started before the work bound was checked")

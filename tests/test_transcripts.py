@@ -56,3 +56,37 @@ def test_a_command_that_raises_leaves_the_transcripts_as_they_were(tmp_path, mon
     transcripts.write_transcripts([stats], tmp_path)
     assert [path.name for path in tmp_path.iterdir()] == ["stats.json"]
     assert json.loads(kept.read_text(encoding="utf-8"))["argv"] == ["stats", "--n", "4"]
+
+
+def test_check_names_a_tampered_transcript_and_writes_nothing(tmp_path, capsys):
+    commands = [("stats", ["stats", "--n", "4"]), ("refuse", ["stats", "--n", "1"])]
+    transcripts.write_transcripts(commands, tmp_path)
+    assert transcripts.check_transcripts(commands, tmp_path) == 0
+    assert capsys.readouterr().out == "2 of 2 transcripts match, 0 skipped\n"
+
+    tampered = tmp_path / "stats.json"
+    tampered.write_bytes(tampered.read_bytes().replace(b'"exit": 0', b'"exit": 1'))
+    (tmp_path / "stale.json").write_text("stale\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert transcripts.check_transcripts(commands, tmp_path) == 1
+    assert capsys.readouterr().out == (
+        "differs stats\nno command stale\n1 of 2 transcripts match, 0 skipped\n"
+    )
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_check_skips_a_command_that_needs_numpy(tmp_path, capsys, monkeypatch):
+    commands = [("stats", ["stats", "--n", "4"]), ("verify", ["verify", "--exact", "2"])]
+    transcripts.write_transcripts(commands, tmp_path)
+    run = transcripts.transcript
+
+    def transcript(argv, directory):
+        if argv[0] == "verify":
+            raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        return run(argv, directory)
+
+    monkeypatch.setattr(transcripts, "transcript", transcript)
+    assert transcripts.check_transcripts(commands, tmp_path) == 0
+    assert capsys.readouterr().out == (
+        "skipped verify: needs numpy\n1 of 2 transcripts match, 1 skipped\n"
+    )

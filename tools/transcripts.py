@@ -1,6 +1,8 @@
-"""Write the committed transcripts of CLI commands under tests/transcripts/.
+"""Write the committed transcripts of CLI commands under tests/transcripts/,
+or check them.
 
-  python3 tools/transcripts.py
+  python3 tools/transcripts.py            # write every transcript
+  python3 tools/transcripts.py --check    # compare, write nothing
 
 Each command in ``COMMANDS`` runs through ``tableguess.cli.main`` in
 process, in a scratch directory that holds ``inputs/`` (a copy of
@@ -13,10 +15,17 @@ transcript names no path of the machine that wrote it.
 tests/test_transcripts.py runs each transcript's argv again and compares
 the result byte for byte. A change that alters output on purpose runs
 this script again and names each transcript that changed, and why.
+
+``--check`` runs every command and compares its result with the committed
+transcript without writing any. It exits 1 naming each transcript that
+differs, is missing or has no command. It needs only the standard library
+and ``src/``: under a Python without numpy, the commands that import it
+(``verify`` with work to do) are reported as skipped, not as differing.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -85,6 +94,11 @@ COMMANDS = [
     (
         "refuse-verify-work",
         ["verify", "--mc", "--n", "20", "--samples", "100000001", "--seed", "1"],
+    ),
+    ("refuse-verify-seed-negative", ["verify", "--mc", "--n", "20", "--samples", "10", "--seed", "-1"]),
+    (
+        "refuse-verify-seed-2-64",
+        ["verify", "--mc", "--n", "20", "--samples", "10", "--seed", str(1 << 64)],
     ),
     ("refuse-predict-round-0", ["predict", SEASON, "--round", "0"]),
     ("refuse-predict-round-27", ["predict", SEASON, "--round", "27"]),
@@ -183,8 +197,48 @@ def write_transcripts(commands: list[tuple[str, list[str]]], target: Path) -> No
         (target / name).write_text(text, encoding="utf-8", newline="")
 
 
-def main() -> int:
+def check_transcripts(commands: list[tuple[str, list[str]]], target: Path) -> int:
+    """Run every command and compare its transcript with the one in
+    ``target``, writing nothing there. Print each that differs, each file
+    no command names and each command skipped for want of numpy; return 1
+    if any differs or has no command, else 0."""
+    differ, skipped = [], []
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch)
+        stage(directory)
+        for name, argv in commands:
+            try:
+                text = transcript(argv, directory)
+            except ModuleNotFoundError as exc:
+                if exc.name != "numpy":
+                    raise
+                skipped.append(name)
+                continue
+            path = target / f"{name}.json"
+            if not path.is_file() or path.read_bytes() != text.encode():
+                differ.append(name)
+    names = {name for name, _ in commands}
+    stale = sorted(path.stem for path in target.glob("*.json") if path.stem not in names)
+    for name in skipped:
+        print(f"skipped {name}: needs numpy")
+    for name in differ:
+        print(f"differs {name}")
+    for name in stale:
+        print(f"no command {name}")
+    matched = len(commands) - len(differ) - len(skipped)
+    print(f"{matched} of {len(commands)} transcripts match, {len(skipped)} skipped")
+    return 1 if differ or stale else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write or check the CLI transcripts.")
+    parser.add_argument(
+        "--check", action="store_true", help="compare with the committed transcripts; write nothing"
+    )
+    args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
+    if args.check:
+        return check_transcripts(COMMANDS, TRANSCRIPTS)
     write_transcripts(COMMANDS, TRANSCRIPTS)
     print(f"wrote {len(COMMANDS)} transcripts to {TRANSCRIPTS.relative_to(ROOT)}")
     return 0

@@ -95,7 +95,10 @@ COMMANDS = [
         "refuse-verify-work",
         ["verify", "--mc", "--n", "20", "--samples", "100000001", "--seed", "1"],
     ),
-    ("refuse-verify-seed-negative", ["verify", "--mc", "--n", "20", "--samples", "10", "--seed", "-1"]),
+    (
+        "refuse-verify-seed-negative",
+        ["verify", "--mc", "--n", "20", "--samples", "10", "--seed", "-1"],
+    ),
     (
         "refuse-verify-seed-2-64",
         ["verify", "--mc", "--n", "20", "--samples", "10", "--seed", str(1 << 64)],

@@ -51,11 +51,8 @@ _EXPORTS = {
         "evaluate_season",
     ),
     "regression": (
-        "DegeneratePredictorError",
-        "OlsFit",
         "R2Curve",
         "r2_curve",
-        "simple_ols",
         "threshold_round",
     ),
 }

@@ -237,6 +237,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--samples requires --seed for reproducibility")
     if args.mc and (args.n is None or args.samples is None or args.seed is None):
         raise ValueError("--mc requires --n, --samples and --seed")
+    given = [f"--{flag}" for flag in ("n", "samples", "seed") if getattr(args, flag) is not None]
+    if given and not args.mc:
+        raise ValueError(f"{', '.join(given)} without --mc would be ignored")
     verdicts = [] if exact is None else list(_verify_exact(*exact))
     if args.mc:
         verdicts.append(_verify_mc(args.n, args.samples, args.seed))

@@ -30,20 +30,27 @@ STATS_MAX_N = 1000
 MC_MAX_WORK = 2 * 10**9
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_sizes(
     n: int | None,
     samples: int | None = None,
     n_name: str = "league size",
     samples_name: str = "samples",
 ) -> None:
-    """Refuse n outside 2..``STATS_MAX_N``, samples below 1 or n * samples above
-    ``MC_MAX_WORK``, calling each by its given name; a None is not checked."""
-    if n is not None and not 2 <= n <= STATS_MAX_N:
+    """Refuse a non-integer, n outside 2..``STATS_MAX_N``, samples below 1 or n *
+    samples above ``MC_MAX_WORK``, naming each as given; a None is not checked."""
+    if n is not None and not 2 <= (n := _integer(n, n_name)) <= STATS_MAX_N:
         bound = "at least 2" if n < 2 else f"at most {STATS_MAX_N}"
         raise ValueError(f"{n_name} must be {bound}, got {n}")
     if samples is None:
         return
-    if samples < 1:
+    if (samples := _integer(samples, samples_name)) < 1:
         raise ValueError(f"{samples_name} must be at least 1, got {samples}")
     if n is not None and n * samples > MC_MAX_WORK:
         raise ValueError(
@@ -53,8 +60,8 @@ def check_sizes(
 
 
 def check_seed(seed: int | None, name: str = "seed") -> None:
-    """Refuse a seed outside the sampler's keys 0..2**64-1; a None is not checked."""
-    if seed is not None and not 0 <= seed < 1 << 64:
+    """Refuse a seed that is not an integer in 0..2**64-1; a None is not checked."""
+    if seed is not None and not 0 <= _integer(seed, name) < 1 << 64:
         raise ValueError(f"{name} must be within 0..2**64-1, got {seed}")
 
 

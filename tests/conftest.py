@@ -1,5 +1,6 @@
 import csv
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,24 @@ def matches_csv(dataset: league.SeasonDataset) -> str:
             [m.season, m.round, m.home_team, m.away_team, m.home_goals, m.away_goals]
         )
     return buffer.getvalue()
+
+
+def exact_r2(x, y) -> float | None:
+    """The squared Pearson correlation of x and y, from Fraction sums of
+    deviations from the means, rounded once; None when x or y is constant.
+
+    The oracle for ``regression.r2_curve``: it imports nothing from that
+    module, and it sums deviations where the module sums raw products.
+    """
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    dx = [v - mean_x for v in xs]
+    dy = [v - mean_y for v in ys]
+    sxx, syy = sum(d * d for d in dx), sum(d * d for d in dy)
+    if not sxx or not syy:
+        return None
+    sxy = sum(a * b for a, b in zip(dx, dy))
+    return float(sxy * sxy / (sxx * syy))
 
 
 def read_records(text: str, fields: tuple[str, ...], **convert) -> list[dict]:

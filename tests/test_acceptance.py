@@ -98,24 +98,44 @@ def test_c4_monte_carlo_consistency():
 
 
 def test_c5_regression_identities():
-    """R^2 equals squared Pearson correlation and is affine-invariant on
-    1000 random instances; final-round rank regressions hit exactly 1."""
-    rng = np.random.default_rng(20260810)
-    for _ in range(1000):
-        size = int(rng.integers(10, 31))
-        x = rng.normal(size=size)
-        y = rng.normal(size=size) + rng.uniform(-1, 1) * x
-        fit = regression.simple_ols(x, y)
-        pearson = float(np.corrcoef(x, y)[0, 1])
-        assert abs(fit.r_squared - pearson * pearson) <= 1e-12
-        for a in (-3.0, 0.5, 7.0):
-            transformed = regression.simple_ols(a * x + 2.0, y)
-            assert abs(transformed.r_squared - fit.r_squared) <= 1e-12
-
-    for seed in range(10):
+    """On 20 random seasons every defined point of both R^2 curves equals the
+    squared Pearson correlation of that round's predictor with the final
+    places, multiplying every goal by k leaves both curves exactly as they
+    are, and the final-round rank curve hits exactly 1."""
+    predictors = {
+        regression.KIND_TABLE_RANK: lambda row: row.rank,
+        regression.KIND_GOAL_DIFFERENCE: lambda row: row.goal_difference,
+    }
+    for seed in range(20):
         dataset = synthetic_season(14, seed=seed)
-        curve = regression.r2_curve(dataset, regression.KIND_TABLE_RANK)
-        assert curve.points[-1][1] == 1.0
+        tables = league.standings_series(dataset)
+        final = {row.team: row.rank for row in tables[-1].rows}
+        y = [final[team] for team in dataset.teams]
+        curves = {kind: regression.r2_curve(dataset, kind) for kind in predictors}
+        for kind, x_of in predictors.items():
+            for table, (rnd, value) in zip(tables, curves[kind].points, strict=True):
+                assert rnd == table.round
+                by_team = {row.team: x_of(row) for row in table.rows}
+                x = [by_team[team] for team in dataset.teams]
+                if len(set(x)) == 1:
+                    assert value is None
+                    continue
+                pearson = float(np.corrcoef(x, y)[0, 1])
+                assert abs(value - pearson * pearson) <= 1e-12
+        assert curves[regression.KIND_TABLE_RANK].points[-1][1] == 1.0
+
+        for k in (2, 3, 7):
+            scaled = league.SeasonDataset(
+                [
+                    league.MatchRecord(
+                        m.season, m.round, m.home_team, m.away_team,
+                        k * m.home_goals, k * m.away_goals,
+                    )
+                    for m in dataset.matches
+                ]
+            )
+            for kind, curve in curves.items():
+                assert regression.r2_curve(scaled, kind).points == curve.points
 
 
 def test_c6_standings_invariants_on_random_seasons():

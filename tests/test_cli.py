@@ -195,6 +195,21 @@ class TestVerify:
         assert (code, out, enumerated_sizes) == (2, "", [])
         assert err == "error: --seed must be within 0..2**64-1, got -1\n"
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--n", "5", "--samples", "3", "--seed", "1"), "--n, --samples, --seed"),
+            (("--n", "5"), "--n"),
+            (("--seed", "1"), "--seed"),
+        ],
+    )
+    def test_mc_flags_without_mc_are_refused_before_any_enumeration(
+        self, capsys, enumerated_sizes, argv, named
+    ):
+        code, out, err = run(capsys, "verify", "--exact", "2..4", *argv)
+        assert (code, out, enumerated_sizes) == (2, "", [])
+        assert err == f"error: {named} without --mc would be ignored\n"
+
     def test_the_64_bit_seed_range_is_inclusive(self, capsys):
         for seed in (0, (1 << 64) - 1):
             code, out, _ = run(

@@ -117,6 +117,11 @@ def test_the_library_modules_are_attributes_of_the_package():
     assert run_script(MODULES_SCRIPT, names) == [f"tableguess.{name}" for name in names]
 
 
+def test_every_exported_name_resolves():
+    # an export left behind by a deletion would fail only when first used
+    assert [name for name in tableguess.__all__ if not hasattr(tableguess, name)] == []
+
+
 SEASON = str(bundled_path(SYNTHETIC_SEASON))
 
 # each product command, and the tableguess modules it has no use for

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -356,6 +357,27 @@ class TestMonteCarlo:
         monkeypatch.setattr(_kernels, "mc_score_moments", refuse)
         with pytest.raises(ValueError, match=rf"^seed must be within 0\.\.2\*\*64-1, got {seed}$"):
             monte_carlo_mae(20, 10, seed)
+
+    @pytest.mark.parametrize(
+        "call, args, message",
+        [
+            (monte_carlo_mae, (20, 1000, 42.7), "seed must be an integer, got 42.7"),
+            (monte_carlo_mae, (20, 1000.0, 42), "samples must be an integer, got 1000.0"),
+            (score_stats, (20.0,), "league size must be an integer, got 20.0"),
+            (brute_force_distribution, (4.0,), "league size must be an integer, got 4.0"),
+        ],
+        ids=["mc-seed", "mc-samples", "score-stats-n", "brute-force-n"],
+    )
+    def test_a_float_size_or_seed_is_refused_before_any_work(
+        self, monkeypatch, call, args, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the inputs were checked")
+
+        for name in ("mc_score_moments", "score_distribution_counts"):
+            monkeypatch.setattr(_kernels, name, refuse)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(*args)
 
     def test_work_bound_refuses_before_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):

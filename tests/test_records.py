@@ -25,7 +25,7 @@ from tableguess.permstats import (
     score_stats,
 )
 from tableguess.predictor import ForecastReport, RoundForecast
-from tableguess.regression import OlsFit, R2Curve
+from tableguess.regression import R2Curve
 
 MATCH_FIELDS = dict(season="s", round=1, home_team="A", away_team="B", home_goals=2, away_goals=0)
 MATCH = MatchRecord(**MATCH_FIELDS)
@@ -71,7 +71,6 @@ SAMPLES = {
         threshold_rounds={"rank": 1, "gd": None},
         gd_better_rounds=(),
     ),
-    OlsFit: dict(beta0=0.5, beta1=2.0, r_squared=None, n_points=3),
     R2Curve: dict(season="s", kind="table_rank", points=((1, 0.25), (2, None))),
 }
 
@@ -80,7 +79,7 @@ REPRS = {
         "MatchRecord(season='s', round=1, home_team='A', away_team='B', "
         "home_goals=2, away_goals=0)"
     ),
-    OlsFit: "OlsFit(beta0=0.5, beta1=2.0, r_squared=None, n_points=3)",
+    R2Curve: "R2Curve(season='s', kind='table_rank', points=((1, 0.25), (2, None)))",
     SeasonDataset: (
         "SeasonDataset(matches=(MatchRecord(season='s', round=1, home_team='A', "
         "away_team='B', home_goals=2, away_goals=0),))"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tableguess import league, permstats, predictor, regression
 from tableguess.league import MatchRecord, StandingsRow, StandingsTable
+from conftest import exact_r2
 
 
 @st.composite
@@ -120,11 +121,11 @@ def test_evaluate_and_curves_equal_per_table_scoring(matches):
         want = []
         for table in tables:
             by_team = {row.team: x_of(row) for row in table.rows}
-            x = [float(by_team[team]) for team in final_order]
-            try:
-                want.append((table.round, regression.simple_ols(x, y).r_squared))
-            except regression.DegeneratePredictorError:
-                want.append((table.round, None))
+            x = [by_team[team] for team in final_order]
+            # y = 1..n is never constant, so None marks exactly a constant x
+            r_squared = exact_r2(x, y)
+            assert (r_squared is None) == (len(set(x)) == 1)
+            want.append((table.round, r_squared))
         assert regression.r2_curve(dataset, kind).points == tuple(want)
 
 

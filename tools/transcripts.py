@@ -103,6 +103,10 @@ COMMANDS = [
         "refuse-verify-seed-2-64",
         ["verify", "--mc", "--n", "20", "--samples", "10", "--seed", str(1 << 64)],
     ),
+    (
+        "refuse-verify-mc-flags-without-mc",
+        ["verify", "--exact", "2", "--n", "5", "--samples", "3", "--seed", "1"],
+    ),
     ("refuse-predict-round-0", ["predict", SEASON, "--round", "0"]),
     ("refuse-predict-round-27", ["predict", SEASON, "--round", "27"]),
     ("refuse-evaluate-fraction-0", ["evaluate", SEASON, "--baseline-fraction", "0"]),

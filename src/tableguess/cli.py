@@ -182,11 +182,14 @@ _RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 def _exact_range(text: str) -> tuple[int, int]:
     m = _RANGE_RE.match(text.strip())
     if not m:
-        raise ValueError(f"range must look like 4 or 2..8, got {text!r}")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
+        raise ValueError(f"--exact must look like 4 or 2..8, got {text!r}")
+    try:
+        lo = int(m.group(1))
+        hi = int(m.group(2)) if m.group(2) else lo
+    except ValueError:  # int() refuses a number of thousands of digits, past any ceiling
+        lo = hi = math.inf
     if lo > hi:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"--exact must not be an empty range, got {text!r}")
     if lo < 2 or hi > permstats.ORACLE_MAX_N:
         raise ValueError(
             f"--exact must be within 2..{permstats.ORACLE_MAX_N}, the enumeration "

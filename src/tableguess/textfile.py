@@ -18,5 +18,7 @@ def read_text(path: str | Path) -> str:
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        line = data[: exc.start].count(b"\n") + 1
+        head = data[: exc.start]
+        # \r\n, a lone \r and \n each end one line, as they do for csv.reader
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"line {line}: not valid {exc.encoding}: {exc.reason}") from None

@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,12 @@ from tableguess.bundled import (
 )
 from tableguess.cli import read_table_file
 from tableguess.permstats import Ranking, ranking_from_orders
+
+# tools/transcripts.py: it stages the transcripts' inputs and runs a CLI command among them
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "transcripts.py"
+_spec = importlib.util.spec_from_file_location("transcripts", _TOOL)
+transcripts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(transcripts)
 
 # Deviations column of the 2016/17 PL prediction fixture: predicted place of
 # the team that finished i-th.
@@ -91,6 +99,15 @@ def curve_rows(text: str) -> list[dict]:
         round=int,
         r_squared=lambda v: float(v) if v else None,
     )
+
+
+@pytest.fixture(scope="session")
+def staged(tmp_path_factory) -> Path:
+    """A directory staged as the transcripts' commands see it; each command
+    run through ``transcripts.transcript`` leaves it as it was."""
+    directory = tmp_path_factory.mktemp("transcripts")
+    transcripts.stage(directory)
+    return directory
 
 
 @pytest.fixture

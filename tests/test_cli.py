@@ -154,7 +154,7 @@ class TestVerify:
 
     def test_bad_range_syntax(self, capsys):
         code, _, err = run(capsys, "verify", "--exact", "2-8")
-        assert code == 2
+        assert (code, err) == (2, "error: --exact must look like 4 or 2..8, got '2-8'\n")
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -649,6 +649,13 @@ class TestTableFiles:
         assert str(info.value) == f"{bad}: line 2: not valid utf-8: invalid start byte"
         code, _, err = run(capsys, "mae", "--pred", str(bad), "--actual", str(bad))
         assert (code, err) == (2, f"error: {info.value}\n")
+
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    def test_a_line_end_of_cr_or_crlf_counts_once(self, capsys, tmp_path, end):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(end.join([b"position,team", b"1,A", b"2,\xff", b""]))
+        code, _, err = run(capsys, "mae", "--pred", str(bad), "--actual", str(bad))
+        assert (code, err) == (2, f"error: {bad}: line 3: not valid utf-8: invalid start byte\n")
 
     @pytest.mark.parametrize(
         "text, where",

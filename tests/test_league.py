@@ -105,6 +105,14 @@ class TestParsing:
             parse_matches(path)
         assert str(info.value) == f"{path}: line 2: not valid utf-8: invalid start byte"
 
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    def test_a_line_end_of_cr_or_crlf_counts_once(self, tmp_path, end):
+        path = tmp_path / "matches.csv"
+        path.write_bytes(end.join([HEADER.strip().encode(), b"S,1,A,B,2,0", b"S,2,\xff,B,0,0", b""]))
+        with pytest.raises(MatchFileError) as info:
+            parse_matches(path)
+        assert str(info.value) == f"{path}: line 3: not valid utf-8: invalid start byte"
+
     def test_column_order_is_flexible(self):
         text = "round,season,away_team,home_team,away_goals,home_goals\n1,S,B,A,0,2\n"
         dataset = parse_text(text)

@@ -4,6 +4,7 @@ its own file holds; a change that alters output on purpose writes them
 again."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,26 @@ def test_a_stub_is_filled_in_and_then_matches(tmp_path, capsys):
     assert (refuse["why"], refuse["exit"]) == (why["why"], 2)
     assert transcripts.check_transcripts(tmp_path) == 0
     assert capsys.readouterr().out == "2 of 2 transcripts match, 0 skipped\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"argv": ["stats"],}', "Expecting property name"),
+        (b'{"exit": 0}', 'an "argv" list'),
+        (b'["stats"]', 'an "argv" list'),
+    ],
+    ids=["not-json", "no-argv", "not-an-object"],
+)
+def test_a_file_that_is_not_a_transcript_is_refused_naming_it(tmp_path, content, message):
+    stubs(tmp_path, stats=["stats", "--n", "4"])
+    (tmp_path / "typo.json").write_bytes(content)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    named = f"^{re.escape(str(tmp_path / 'typo.json'))}: .*{message}"
+    for run in (transcripts.write_transcripts, transcripts.check_transcripts):
+        with pytest.raises(ValueError, match=named):
+            run(tmp_path)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_a_command_that_raises_leaves_the_transcripts_as_they_were(tmp_path, monkeypatch):

@@ -92,7 +92,18 @@ def transcript(record: dict, directory: Path) -> str:
 
 
 def _records(target: Path) -> dict[Path, dict]:
-    return {path: json.loads(path.read_bytes()) for path in sorted(target.glob("*.json"))}
+    """Each transcript file in ``target`` and its record; a file that is not
+    a JSON object holding an ``argv`` list is refused, naming it."""
+    records = {}
+    for path in sorted(target.glob("*.json")):
+        try:
+            record = json.loads(path.read_bytes())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if not isinstance(record, dict) or not isinstance(record.get("argv"), list):
+            raise ValueError(f'{path}: a transcript must be a JSON object with an "argv" list')
+        records[path] = record
+    return records
 
 
 def write_transcripts(target: Path) -> int:

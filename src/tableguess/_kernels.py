@@ -15,8 +15,8 @@ by insertion: the columns for n come from the columns for n-1 with the
 value n-1 inserted at each of the n positions, each copy along the
 contiguous last axis. It is still brute force over every permutation, so
 it stays independent of the closed forms. Because the whole array is held
-in memory, n is capped at ``ORACLE_MAX_N`` = 10 from ``permstats`` (10!
-permutations of 10 bytes, 36 MB).
+in memory, ``permstats.check_enumerable`` caps n at ``ORACLE_MAX_N`` = 10
+(10! permutations of 10 bytes, 36 MB).
 
 Randomness is counter-based: the value consumed at shuffle step ``i`` of
 sample ``s`` is a SplitMix64-style hash of ``(seed, s, i, retry)``, so
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .permstats import ORACLE_MAX_N
+from .permstats import check_enumerable
 
 _SEED_SALT = 0x8AD64C65E2D4B97F
 
@@ -214,8 +214,6 @@ def _footrule_scores(perm: np.ndarray) -> np.ndarray:
 
 def _all_permutations(n: int) -> np.ndarray:
     """Every permutation of 0..n-1 as one column of an (n, n!) int8 array."""
-    if n > ORACLE_MAX_N:
-        raise ValueError(f"enumeration is capped at n = {ORACLE_MAX_N}, got {n}")
     cols = np.zeros((0, 1), dtype=np.int8)
     for k in range(n):
         # insert the value k at each position p of every column of length k
@@ -233,6 +231,7 @@ def score_distribution_counts(n: int) -> np.ndarray:
 
     Index s holds the number of permutations with score s; odd indices stay 0.
     """
+    check_enumerable(n)
     # the permutations are freed when the scores are returned, before
     # bincount copies the scores to intp
     return np.bincount(_footrule_scores(_all_permutations(n)), minlength=n * n // 2 + 1)

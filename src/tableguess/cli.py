@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,7 +25,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 # league, predictor and regression are imported by the commands that use
 # them, so that each command loads only what it runs
 from . import STRATEGIES, STRATEGY_RANK, permstats
-from .textfile import read_text
+from .textfile import overlong_integer_digits, read_text
 
 if TYPE_CHECKING:
     from . import predictor, regression
@@ -113,25 +114,36 @@ def read_table_file(path: str | Path) -> list[str]:
 
 
 def _table_teams(text: str) -> list[str]:
-    """The one set of rules for both formats, in the order they are checked."""
+    """The one set of rules for both formats, in the order they are checked;
+    a position or a team is refused where it first breaks one."""
     entries = []
     for where, position, name in _table_entries(text):
         if not (team := name.strip()):
             raise ValueError(f"{where}: team must not be blank")
-        entries.append((position, team))
-    entries.sort()
-    if [pos for pos, _ in entries] != list(range(1, len(entries) + 1)):
-        raise ValueError(f"positions must be exactly 1..{len(entries)}")
-    teams = [team for _, team in entries]
-    if len(set(teams)) != len(teams):
-        raise ValueError("duplicate team names")
-    if len(teams) < 2:
+        entries.append((where, position, team))
+    size = len(entries)
+    placed: dict[int, str] = {}
+    for where, position, _ in entries:
+        if position not in range(1, size + 1):
+            raise ValueError(f"{where}: position must be in 1..{size}, got {position}")
+        if position in placed:
+            raise ValueError(f"{where}: position {position} is also on {placed[position]}")
+        placed[position] = where
+    named: dict[str, str] = {}
+    for where, _, team in entries:
+        if team in named:
+            raise ValueError(f"{where}: team {team!r} is also on {named[team]}")
+        named[team] = where
+    if size < 2:
         raise ValueError("need at least 2 teams")
-    return teams
+    return [team for _, team in sorted((position, team) for _, position, team in entries)]
 
 
-def _table_entries(text: str) -> Iterator[tuple[str, int, str]]:
-    """``(where, position, name)`` per team; CSV rows one by one, so the first fault wins."""
+def _table_entries(text: str) -> Iterator[tuple[str, int | str, str]]:
+    """``(where, position, name)`` per team; CSV rows one by one, so the first
+    fault wins. A position of more digits than ``int()`` reads is out of every
+    table's range; it is handed on as the text ``'<k> digits'``, which no
+    range holds."""
     if text.lstrip().startswith(("[", "{")):
         teams = json.loads(text)
         if not isinstance(teams, list) or not all(isinstance(t, str) for t in teams):
@@ -152,7 +164,11 @@ def _table_entries(text: str) -> Iterator[tuple[str, int, str]]:
             try:
                 position = int(row[0])
             except ValueError:
-                raise ValueError(f"{where}: position must be an integer, got {row[0]!r}") from None
+                if not (digits := overlong_integer_digits(row[0])):
+                    raise ValueError(
+                        f"{where}: position must be an integer, got {row[0]!r}"
+                    ) from None
+                position = f"{digits} digits"
             yield where, position, row[1]
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
@@ -183,18 +199,12 @@ def _exact_range(text: str) -> tuple[int, int]:
     m = _RANGE_RE.match(text.strip())
     if not m:
         raise ValueError(f"--exact must look like 4 or 2..8, got {text!r}")
-    try:
-        lo = int(m.group(1))
-        hi = int(m.group(2)) if m.group(2) else lo
-    except ValueError:  # int() refuses a number of thousands of digits, past any ceiling
-        lo = hi = math.inf
+    # Decimal reads a bound of any length; int() refuses more than 4300 digits by default
+    lo, hi = (int(Decimal(bound)) for bound in (m[1], m[2] or m[1]))
     if lo > hi:
         raise ValueError(f"--exact must not be an empty range, got {text!r}")
-    if lo < 2 or hi > permstats.ORACLE_MAX_N:
-        raise ValueError(
-            f"--exact must be within 2..{permstats.ORACLE_MAX_N}, the enumeration "
-            f"ceiling, got {text}"
-        )
+    for bound in (lo, hi):
+        permstats.check_enumerable(bound, "--exact")
     return lo, hi
 
 
@@ -231,20 +241,18 @@ def _verify_mc(n: int, samples: int, seed: int) -> tuple[bool, str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.exact is None and not args.mc:
-        raise ValueError("choose --exact RANGE and/or --mc")
     exact = None if args.exact is None else _exact_range(args.exact)
     permstats.check_sizes(args.n, args.samples, "--n", "--samples")
     permstats.check_seed(args.seed, "--seed")
-    if args.samples is not None and args.seed is None:
-        raise ValueError("--samples requires --seed for reproducibility")
-    if args.mc and (args.n is None or args.samples is None or args.seed is None):
-        raise ValueError("--mc requires --n, --samples and --seed")
-    given = [f"--{flag}" for flag in ("n", "samples", "seed") if getattr(args, flag) is not None]
-    if given and not args.mc:
-        raise ValueError(f"{', '.join(given)} without --mc would be ignored")
+    flags = {"--n": args.n, "--samples": args.samples, "--seed": args.seed}
+    given = [flag for flag, value in flags.items() if value is not None]
+    missing = [flag for flag in flags if flag not in given]
+    if exact is None and not given:
+        raise ValueError("choose --exact RANGE and/or --n N --samples S --seed SEED")
+    if given and missing:
+        raise ValueError(f"{' and '.join(missing)} must be given with {' and '.join(given)}")
     verdicts = [] if exact is None else list(_verify_exact(*exact))
-    if args.mc:
+    if given:
         verdicts.append(_verify_mc(args.n, args.samples, args.seed))
     for _, line in verdicts:
         print(line)
@@ -354,10 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="check the closed forms against enumeration and Monte Carlo"
     )
     p.add_argument("--exact", metavar="RANGE", help="league sizes to enumerate, e.g. 2..8")
-    p.add_argument("--mc", action="store_true", help="run the Monte Carlo check")
-    p.add_argument("--n", type=int, help="league size for --mc")
-    p.add_argument("--samples", type=int, help="sample count for --mc")
-    p.add_argument("--seed", type=int, help="seed for --mc")
+    p.add_argument(
+        "--n", type=int, help="league size of the Monte Carlo check, run with --samples and --seed"
+    )
+    p.add_argument("--samples", type=int, help="sample count of the Monte Carlo check")
+    p.add_argument("--seed", type=int, help="seed of the Monte Carlo check")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
 from ._record import Record
-from .textfile import read_text
+from .textfile import overlong_integer_digits, read_text
 
 MATCH_FIELDS = ("season", "round", "home_team", "away_team", "home_goals", "away_goals")
 # The largest round number. A double round robin of the largest league
@@ -52,6 +52,8 @@ ROUND_LIMIT = 2000
 # the limit is part of the match-file contract, which refuses values no
 # real season has.
 _FIELD_LIMIT = 2**31
+_ROUND_RULE = f"round must be in 1..{ROUND_LIMIT}"
+_GOALS_RULE = f"goals must be in 0..{_FIELD_LIMIT - 1}"
 
 
 class MatchFileError(ValueError):
@@ -63,11 +65,11 @@ def _check_match(m: MatchRecord) -> None:
     both call this, so both refuse the same values with the same message.
     The first rule broken, in this order, names the fault."""
     if not 1 <= m.round <= ROUND_LIMIT:
-        raise ValueError(f"round must be in 1..{ROUND_LIMIT}, got {m.round}")
+        raise ValueError(f"{_ROUND_RULE}, got {m.round}")
     if not 0 <= m.home_goals < _FIELD_LIMIT:
-        raise ValueError(f"goals must be in 0..{_FIELD_LIMIT - 1}, got {m.home_goals}")
+        raise ValueError(f"{_GOALS_RULE}, got {m.home_goals}")
     if not 0 <= m.away_goals < _FIELD_LIMIT:
-        raise ValueError(f"goals must be in 0..{_FIELD_LIMIT - 1}, got {m.away_goals}")
+        raise ValueError(f"{_GOALS_RULE}, got {m.away_goals}")
     if not m.season.strip():
         raise ValueError("season must not be blank")
     if not m.home_team.strip():
@@ -323,16 +325,21 @@ def _read_matches(reader) -> SeasonDataset:
             put_home_goals(record, int(row[home_goals_at]))
             put_away_goals(record, int(row[away_goals_at]))
         except ValueError:
-            # name the first integer field, in record order, that is not one
-            for name, at in (
-                ("round", round_at), ("home_goals", home_goals_at), ("away_goals", away_goals_at)
+            # name the first integer field, in record order, that int() refuses;
+            # one of more digits than int() reads breaks the field's range
+            for name, at, rule in (
+                ("round", round_at, _ROUND_RULE),
+                ("home_goals", home_goals_at, _GOALS_RULE),
+                ("away_goals", away_goals_at, _GOALS_RULE),
             ):
                 try:
                     int(row[at])
                 except ValueError:
-                    raise MatchFileError(
-                        f"line {reader.line_num}: {name} must be an integer, got {row[at]!r}"
-                    ) from None
+                    if digits := overlong_integer_digits(row[at]):
+                        fault = f"{rule}, got {digits} digits"
+                    else:
+                        fault = f"{name} must be an integer, got {row[at]!r}"
+                    raise MatchFileError(f"line {reader.line_num}: {fault}") from None
         put_season(record, row[season_at].strip())
         put_home(record, row[home_at].strip())
         put_away(record, row[away_at].strip())

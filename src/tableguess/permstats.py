@@ -17,7 +17,7 @@ from typing import Hashable, Iterator, Sequence
 from ._record import Record
 
 # Enumeration holds all n! permutations in memory at once, so it stops
-# here; tableguess._kernels refuses larger n with this same constant.
+# here; check_enumerable is the one check of it.
 ORACLE_MAX_N = 10
 # The largest league score_stats accepts. It bounds the time of the
 # factorials, and keeps every exact probability printable: the denominator
@@ -37,6 +37,14 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _shown(n: int) -> str:
+    """``n`` in digits, or its size if str() refuses it for its length."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"an integer of {n.bit_length()} bits"
+
+
 def check_sizes(
     n: int | None,
     samples: int | None = None,
@@ -47,22 +55,32 @@ def check_sizes(
     samples above ``MC_MAX_WORK``, naming each as given; a None is not checked."""
     if n is not None and not 2 <= (n := _integer(n, n_name)) <= STATS_MAX_N:
         bound = "at least 2" if n < 2 else f"at most {STATS_MAX_N}"
-        raise ValueError(f"{n_name} must be {bound}, got {n}")
+        raise ValueError(f"{n_name} must be {bound}, got {_shown(n)}")
     if samples is None:
         return
     if (samples := _integer(samples, samples_name)) < 1:
-        raise ValueError(f"{samples_name} must be at least 1, got {samples}")
+        raise ValueError(f"{samples_name} must be at least 1, got {_shown(samples)}")
     if n is not None and n * samples > MC_MAX_WORK:
         raise ValueError(
             f"{samples_name} must be at most {MC_MAX_WORK // n} at {n_name} {n}, so that "
-            f"{n_name} x {samples_name} stays within {MC_MAX_WORK}, got {samples}"
+            f"{n_name} x {samples_name} stays within {MC_MAX_WORK}, got {_shown(samples)}"
         )
+
+
+def check_enumerable(n: int, name: str = "league size") -> None:
+    """Refuse a non-integer, n above ``ORACLE_MAX_N`` with ``OracleCapError``,
+    then what ``check_sizes`` refuses, naming n as given."""
+    if (n := _integer(n, name)) > ORACLE_MAX_N:
+        raise OracleCapError(
+            f"{name} must be at most {ORACLE_MAX_N}, the enumeration ceiling, got {_shown(n)}"
+        )
+    check_sizes(n, n_name=name)
 
 
 def check_seed(seed: int | None, name: str = "seed") -> None:
     """Refuse a seed that is not an integer in 0..2**64-1; a None is not checked."""
     if seed is not None and not 0 <= _integer(seed, name) < 1 << 64:
-        raise ValueError(f"{name} must be within 0..2**64-1, got {seed}")
+        raise ValueError(f"{name} must be within 0..2**64-1, got {_shown(seed)}")
 
 
 class DimensionMismatchError(ValueError):
@@ -237,14 +255,10 @@ class ScoreDistribution(Record):
 def brute_force_distribution(n: int) -> ScoreDistribution:
     """Enumerate all n! permutations and tally their scores.
 
-    The independent oracle behind the closed forms; refuses n above
-    ``ORACLE_MAX_N``.
+    The independent oracle behind the closed forms; refuses what
+    ``check_enumerable`` refuses.
     """
-    if n > ORACLE_MAX_N:
-        raise OracleCapError(
-            f"enumeration of {n}! permutations exceeds the ceiling of {ORACLE_MAX_N}"
-        )
-    check_sizes(n)
+    check_enumerable(n)
     from . import _kernels
 
     counts = _kernels.score_distribution_counts(n)

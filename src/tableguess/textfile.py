@@ -8,6 +8,7 @@ line break is part of a cell.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 
@@ -22,3 +23,13 @@ def read_text(path: str | Path) -> str:
         # \r\n, a lone \r and \n each end one line, as they do for csv.reader
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"line {line}: not valid {exc.encoding}: {exc.reason}") from None
+
+
+def overlong_integer_digits(text: str) -> int:
+    """How many digits ``text`` holds if it spells an integer as ``int()``
+    reads one, else 0. A reader asks once ``int(text)`` has failed: such an
+    integer has more digits than ``int()`` reads (4300 by default), and the
+    reader refuses it by the field's range, not as a non-integer."""
+    if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text) is None:
+        return 0
+    return sum(map(str.isdecimal, text))

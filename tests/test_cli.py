@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -8,7 +9,9 @@ import pytest
 from tableguess import league, permstats
 from tableguess.cli import main, read_table_file
 from tableguess.permstats import MC_MAX_WORK, ORACLE_MAX_N, STATS_MAX_N
-from conftest import FLAT_SEASON_CSV, DRAWISH_SEASON_CSV, curve_rows, report_rows
+from conftest import FLAT_SEASON_CSV, DRAWISH_SEASON_CSV, curve_rows, report_rows, transcripts
+
+MC_FLAGS = {"--n": "20", "--samples": "10", "--seed": "1"}
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -129,7 +132,20 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--exact", f"2..{ORACLE_MAX_N + 1}")
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: --exact must be within 2..{ORACLE_MAX_N}")
+        assert err == (
+            f"error: --exact must be at most {ORACLE_MAX_N}, the enumeration ceiling, "
+            f"got {ORACLE_MAX_N + 1}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, got",
+        [("2..11\n", "11"), (" 2..11", "11"), ("2.." + "9" * 5000, "an integer of 16610 bits")],
+        ids=["newline", "blank", "5000-digits"],
+    )
+    def test_a_bound_past_the_ceiling_is_named_parsed(self, capsys, text, got):
+        code, out, err = run(capsys, "verify", "--exact", text)
+        assert (code, out) == (2, "")
+        assert err == f"error: --exact must be at most 10, the enumeration ceiling, got {got}\n"
 
     def test_single_size_range(self, capsys):
         code, out, _ = run(capsys, "verify", "--exact", "4")
@@ -138,13 +154,13 @@ class TestVerify:
 
     def test_mc_mode(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "--mc", "--n", "20", "--samples", "50000", "--seed", "42"
+            capsys, "verify", "--n", "20", "--samples", "50000", "--seed", "42"
         )
         assert code == 0
         assert "mc_mean_mae: PASS" in out
 
     def test_mc_requires_seed(self, capsys):
-        code, _, err = run(capsys, "verify", "--mc", "--n", "20", "--samples", "1000")
+        code, _, err = run(capsys, "verify", "--n", "20", "--samples", "1000")
         assert code == 2
         assert "seed" in err
 
@@ -160,16 +176,13 @@ class TestVerify:
         "argv, flag",
         [
             (("--exact", "1..4"), "--exact"),
-            (("--mc", "--n", str(STATS_MAX_N + 1), "--samples", "10", "--seed", "1"), "--n"),
-            (("--mc", "--n", "20", "--samples", "0", "--seed", "1"), "--samples"),
-            (
-                ("--mc", "--n", "20", "--samples", str(MC_MAX_WORK // 20 + 1), "--seed", "1"),
-                "--samples",
-            ),
-            (("--mc", "--n", "1000", "--samples", str(10**8), "--seed", "1"), "--samples"),
-            (("--mc", "--n", "1", "--samples", "10", "--seed", "1"), "--n"),
-            (("--mc", "--n", "20", "--samples", "10", "--seed", "-1"), "--seed"),
-            (("--mc", "--n", "20", "--samples", "10", "--seed", str(1 << 64)), "--seed"),
+            (("--n", str(STATS_MAX_N + 1), "--samples", "10", "--seed", "1"), "--n"),
+            (("--n", "20", "--samples", "0", "--seed", "1"), "--samples"),
+            (("--n", "20", "--samples", str(MC_MAX_WORK // 20 + 1), "--seed", "1"), "--samples"),
+            (("--n", "1000", "--samples", str(10**8), "--seed", "1"), "--samples"),
+            (("--n", "1", "--samples", "10", "--seed", "1"), "--n"),
+            (("--n", "20", "--samples", "10", "--seed", "-1"), "--seed"),
+            (("--n", "20", "--samples", "10", "--seed", str(1 << 64)), "--seed"),
         ],
     )
     def test_out_of_range_flags_exit_two_before_any_work(
@@ -189,31 +202,52 @@ class TestVerify:
 
     def test_a_bad_seed_is_refused_before_any_enumeration(self, capsys, enumerated_sizes):
         code, out, err = run(
-            capsys, "verify", "--exact", "2..10", "--mc", "--n", "20", "--samples", "10",
+            capsys, "verify", "--exact", "2..10", "--n", "20", "--samples", "10",
             "--seed", "-1",
         )
         assert (code, out, enumerated_sizes) == (2, "", [])
         assert err == "error: --seed must be within 0..2**64-1, got -1\n"
 
+    @pytest.mark.parametrize("exact", [(), ("--exact", "2..4")], ids=["alone", "with-exact"])
     @pytest.mark.parametrize(
-        "argv, named",
-        [
-            (("--n", "5", "--samples", "3", "--seed", "1"), "--n, --samples, --seed"),
-            (("--n", "5"), "--n"),
-            (("--seed", "1"), "--seed"),
-        ],
+        "given",
+        [given for size in (1, 2) for given in itertools.combinations(MC_FLAGS, size)],
+        ids=lambda given: "-".join(flag[2:] for flag in given),
     )
-    def test_mc_flags_without_mc_are_refused_before_any_enumeration(
-        self, capsys, enumerated_sizes, argv, named
+    def test_the_monte_carlo_flags_go_together(
+        self, capsys, monkeypatch, enumerated_sizes, given, exact
     ):
-        code, out, err = run(capsys, "verify", "--exact", "2..4", *argv)
+        from tableguess import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started before the flags were checked")
+
+        monkeypatch.setattr(cli.permstats, "monte_carlo_mae", refuse)
+        argv = [token for flag in given for token in (flag, MC_FLAGS[flag])]
+        code, out, err = run(capsys, "verify", *exact, *argv)
+        missing = [flag for flag in MC_FLAGS if flag not in given]
         assert (code, out, enumerated_sizes) == (2, "", [])
-        assert err == f"error: {named} without --mc would be ignored\n"
+        assert err == f"error: {' and '.join(missing)} must be given with {' and '.join(given)}\n"
+
+    @pytest.mark.parametrize(
+        "path", sorted(transcripts.TRANSCRIPTS.glob("refuse-verify-*.json")), ids=lambda p: p.stem
+    )
+    def test_every_refusal_comes_before_any_work(self, capsys, monkeypatch, path):
+        from tableguess import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        for name in ("score_stats", "brute_force_distribution", "monte_carlo_mae"):
+            monkeypatch.setattr(cli.permstats, name, refuse)
+        code, out, err = run(capsys, *json.loads(path.read_bytes())["argv"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_the_64_bit_seed_range_is_inclusive(self, capsys):
         for seed in (0, (1 << 64) - 1):
             code, out, _ = run(
-                capsys, "verify", "--mc", "--n", "4", "--samples", "10", "--seed", str(seed)
+                capsys, "verify", "--n", "4", "--samples", "10", "--seed", str(seed)
             )
             assert code == 0
             assert out.endswith(f"seed {seed})\n")
@@ -230,7 +264,7 @@ class TestVerify:
         assert code == 0
         assert f"n={ORACLE_MAX_N} worst_count: PASS" in out
         code, out, _ = run(
-            capsys, "verify", "--mc", "--n", str(STATS_MAX_N), "--samples", "1", "--seed", "1"
+            capsys, "verify", "--n", str(STATS_MAX_N), "--samples", "1", "--seed", "1"
         )
         assert code == 0
         assert f"n={STATS_MAX_N} mc_mean_mae: PASS" in out
@@ -251,7 +285,7 @@ class TestVerify:
         )
         monkeypatch.setattr(cli.permstats, "monte_carlo_mae", lambda *a, **k: skewed)
         code, out, _ = run(
-            capsys, "verify", "--mc", "--n", "20", "--samples", "1000", "--seed", "1"
+            capsys, "verify", "--n", "20", "--samples", "1000", "--seed", "1"
         )
         assert code == 1
         assert "FAIL" in out
@@ -280,7 +314,7 @@ class TestVerify:
 
     def test_exact_and_mc_output_is_pinned(self, capsys):
         code, out, err = run(
-            capsys, "verify", "--exact", "2..3", "--mc", "--n", "4", "--samples", "100",
+            capsys, "verify", "--exact", "2..3", "--n", "4", "--samples", "100",
             "--seed", "1",
         )
         assert (code, err) == (0, "")
@@ -675,16 +709,38 @@ class TestTableFiles:
         assert err == f"error: {bad}: {where}: team must not be blank\n"
 
     @pytest.mark.parametrize(
-        "text",
-        ['["A", "A "]', "position,team\n1,A\n2, A\n"],
+        "text, fault",
+        [
+            ('["A", "A "]', "position 2: team 'A' is also on position 1"),
+            ("position,team\n1,A\n2, A\n", "line 3: team 'A' is also on line 2"),
+        ],
         ids=["json", "csv"],
     )
-    def test_names_equal_once_stripped_are_duplicates(self, tmp_path, text):
+    def test_names_equal_once_stripped_are_duplicates(self, tmp_path, text, fault):
         table = tmp_path / "dup.table"
         table.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError) as info:
             read_table_file(table)
-        assert str(info.value) == f"{table}: duplicate team names"
+        assert str(info.value) == f"{table}: {fault}"
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            ("1,A\n3,B\n", "line 3: position must be in 1..2, got 3"),
+            ("2,A\n0,B\n", "line 3: position must be in 1..2, got 0"),
+            ("1,A\n2,B\n1,C\n", "line 4: position 1 is also on line 2"),
+            ("1,A\n2,B\n3,A\n", "line 4: team 'A' is also on line 2"),
+            (f"1,A\n{'9' * 5000},B\n", "line 3: position must be in 1..2, got 5000 digits"),
+            (f"1,A\n{'0' * 5000}2,B\n", "line 3: position must be in 1..2, got 5001 digits"),
+        ],
+        ids=["gap", "zero", "repeated-position", "repeated-team", "5000-digits", "zero-padded"],
+    )
+    def test_a_bad_position_or_team_names_its_line_and_value(self, tmp_path, rows, fault):
+        table = tmp_path / "bad.csv"
+        table.write_text("position,team\n" + rows, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_table_file(table)
+        assert str(info.value) == f"{table}: {fault}"
 
     def test_positions_may_come_unordered(self, tmp_path):
         table = tmp_path / "shuffled.csv"

@@ -48,12 +48,11 @@ OUTPUT = {
     "--format": st.one_of(st.sampled_from(["csv", "json"]), TEXTS),
     "--output": st.sampled_from(WRITE),
 }
-# each subcommand's flags and their values (None: the flag takes none)
+# each subcommand's flags and their values
 COMMANDS = {
     "stats": {"--n": integers((-3, STATS_MAX_N + 3), (None, None)), **OUTPUT},
     "verify": {
         "--exact": EXACT,
-        "--mc": None,
         "--n": integers((-3, STATS_MAX_N + 3), (None, None)),
         # from MC_MAX_WORK // 2 + 1 on, every league size is refused
         "--samples": integers((-3, 200), (MC_MAX_WORK // 2 + 1, None)),
@@ -80,8 +79,7 @@ def command_lines(draw) -> list[str]:
     flags = COMMANDS[name]
     for flag in draw(st.permutations(sorted(flags))):
         if draw(st.booleans()):
-            values = flags[flag]
-            argv += [flag] if values is None else [flag, draw(values)]
+            argv += [flag, draw(flags[flag])]
     return argv
 
 

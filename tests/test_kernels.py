@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from tableguess import _kernels
+from tableguess._kernels import score_distribution_counts
+from tableguess.cli import main
 from tableguess.permstats import ORACLE_MAX_N, OracleCapError, brute_force_distribution
 
 MASK = (1 << 64) - 1
@@ -242,6 +244,23 @@ class TestEnumeration:
             brute_force_distribution(11)
         with pytest.raises(ValueError):
             _kernels.score_distribution_counts(ORACLE_MAX_N + 1)
+
+    def test_every_route_refuses_past_the_ceiling_by_one_rule(
+        self, capsys, monkeypatch, enumerated_sizes
+    ):
+        def refuse(n):
+            raise AssertionError("enumeration started past the ceiling")
+
+        monkeypatch.setattr(_kernels, "_all_permutations", refuse)
+        rule = f"must be at most {ORACLE_MAX_N}, the enumeration ceiling, got {ORACLE_MAX_N + 1}"
+        with pytest.raises(OracleCapError, match=f"^league size {rule}$"):
+            brute_force_distribution(ORACLE_MAX_N + 1)
+        # the kernel as defined, not the fixture's spy, which records its calls
+        with pytest.raises(OracleCapError, match=f"^league size {rule}$"):
+            score_distribution_counts(ORACLE_MAX_N + 1)
+        assert main(["verify", "--exact", str(ORACLE_MAX_N + 1)]) == 2
+        assert capsys.readouterr() == ("", f"error: --exact {rule}\n")
+        assert enumerated_sizes == []
 
     def test_memory_is_bounded(self):
         tracemalloc.start()

@@ -215,6 +215,22 @@ class TestRejections:
         assert str(info.value) == "line 2: home_goals must be an integer, got 'x'"
 
     @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            (f"S,{'9' * 5040},A,B,1,0", f"round must be in {ROUNDS}, got 5040 digits"),
+            (f"S,1,A,B,{'9' * 5000},0", f"goals must be in 0..{LIMIT}, got 5000 digits"),
+            (f"S,1,A,B,0, -{'9' * 5000}", f"goals must be in 0..{LIMIT}, got 5000 digits"),
+            (f"S,1,A,B,0,1_{'0' * 5000}", f"goals must be in 0..{LIMIT}, got 5001 digits"),
+            (f"S,1,A,B,0,x{'0' * 5000}", f"away_goals must be an integer, got 'x{'0' * 5000}'"),
+        ],
+        ids=["round", "home-goals", "away-goals-negative", "underscores", "not-an-integer"],
+    )
+    def test_an_integer_longer_than_int_reads_breaks_its_range(self, row, message):
+        with pytest.raises(MatchFileError) as info:
+            parse_text(HEADER + "S,1,C,D,0,0\n" + row + "\n")
+        assert str(info.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize(
         ("row", "field"),
         [(" ,1,A,B,1,0", "season"), ("S,1,,B,1,0", "home_team"), ("S,1,A,  ,1,0", "away_team")],
     )

@@ -361,12 +361,27 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "call, args, message",
         [
+            (permstats.check_sizes, (10**5000,), "league size must be at most 1000"),
+            (permstats.check_sizes, (20, 10**5000), "samples must be at most 100000000"),
+            (permstats.check_seed, (-(10**5000),), "seed must be within 0..2**64-1"),
+            (brute_force_distribution, (10**5000,), "league size must be at most 10"),
+        ],
+        ids=["n", "samples", "seed", "enumerable-n"],
+    )
+    def test_an_integer_too_long_to_print_is_refused_by_its_size(self, call, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}.*, got an integer of 16610 bits$"):
+            call(*args)
+
+    @pytest.mark.parametrize(
+        "call, args, message",
+        [
             (monte_carlo_mae, (20, 1000, 42.7), "seed must be an integer, got 42.7"),
             (monte_carlo_mae, (20, 1000.0, 42), "samples must be an integer, got 1000.0"),
             (score_stats, (20.0,), "league size must be an integer, got 20.0"),
             (brute_force_distribution, (4.0,), "league size must be an integer, got 4.0"),
+            (brute_force_distribution, (11.0,), "league size must be an integer, got 11.0"),
         ],
-        ids=["mc-seed", "mc-samples", "score-stats-n", "brute-force-n"],
+        ids=["mc-seed", "mc-samples", "score-stats-n", "brute-force-n", "brute-force-n-past-ceiling"],
     )
     def test_a_float_size_or_seed_is_refused_before_any_work(
         self, monkeypatch, call, args, message

@@ -143,9 +143,10 @@ def _table_entries(text: str) -> Iterator[tuple[str, int | str, str]]:
     """``(where, position, name)`` per team; CSV rows one by one, so the first
     fault wins. A position of more digits than ``int()`` reads is out of every
     table's range; it is handed on as the text ``'<k> digits'``, which no
-    range holds."""
+    range holds. A JSON number is no team name, so it is read as a
+    ``Decimal``, which takes any number of digits, and refused as one."""
     if text.lstrip().startswith(("[", "{")):
-        teams = json.loads(text)
+        teams = json.loads(text, parse_int=Decimal)
         if not isinstance(teams, list) or not all(isinstance(t, str) for t in teams):
             raise ValueError("JSON table must be an array of team names")
         yield from ((f"position {k}", k, team) for k, team in enumerate(teams, start=1))

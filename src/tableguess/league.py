@@ -7,13 +7,15 @@ points desc, goal difference desc, goals for desc, team name asc. The name
 fallback makes every table a total order, which downstream code relies on
 to build valid permutations.
 
-A match file is parsed in one pass, and a path and a stream take one
+A match file is read as columns, and a path and a stream take one
 route: the whole text is read, one leading UTF-8 byte order mark is
 dropped, and one ``csv.reader`` reads it, so a line ends only at ``\n``,
-``\r\n`` or ``\r``. Each CSV row is read once: its three integers are
-converted in one step, its record is filled in place of being built by
-``__init__``, and the one check that ``MatchRecord`` also runs is applied
-to it once. Blank team names and season ids are refused.
+``\r\n`` or ``\r``. The rows go into column lists (rounds, home and away
+teams, both goal counts, and a set of the season ids), and the columns are
+checked in bulk by the rules ``MatchRecord`` applies to one match. Only a
+file that breaks a rule, or that the csv reader refuses, is read again
+row by row, to name its first fault in file order. Blank team names and
+season ids are refused.
 
 A dataset's one field is its matches. Every dataset, built or parsed,
 passes one season check: at least one match, one season id, and no team
@@ -24,7 +26,10 @@ dataset is tallied once, when it is built: it carries a ``SeasonFrame``
 of cumulative per-team counts and table orders after each round, which
 the standings functions read and ``predictor.evaluate_season`` and
 ``regression.r2_curve`` score through ``per_round``, the one walk over its
-rows. It is plain Python lists of ints, so no reader of it needs numpy.
+rows. It is plain Python lists of ints, so no reader of it needs numpy. A
+parsed dataset keeps its columns in place of records: it builds its
+``matches`` the first time they are read, filled through their slots with
+no second check, and keeps them.
 
 Round numbers are at most ``ROUND_LIMIT``. Every per-round output, and
 the frame, has one entry per round up to the last, so this bounds their
@@ -35,13 +40,13 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import groupby
-from operator import attrgetter, sub
+from itertools import groupby, islice, repeat
+from operator import attrgetter, itemgetter, sub
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
 from ._record import Record
-from .textfile import overlong_integer_digits, read_text
+from .textfile import overlong_integer_digits, read_text, shown
 
 MATCH_FIELDS = ("season", "round", "home_team", "away_team", "home_goals", "away_goals")
 # The largest round number. A double round robin of the largest league
@@ -54,30 +59,36 @@ ROUND_LIMIT = 2000
 _FIELD_LIMIT = 2**31
 _ROUND_RULE = f"round must be in 1..{ROUND_LIMIT}"
 _GOALS_RULE = f"goals must be in 0..{_FIELD_LIMIT - 1}"
+# The column reader takes this many rows from the csv reader at a time,
+# so the rows it holds at once stay few whatever the file's length.
+_CHUNK_ROWS = 1024
 
 
 class MatchFileError(ValueError):
     """A match file failed validation; the message names the offending line."""
 
 
-def _check_match(m: MatchRecord) -> None:
-    """Refuse a match no season holds. ``MatchRecord`` and ``parse_matches``
-    both call this, so both refuse the same values with the same message.
-    The first rule broken, in this order, names the fault."""
-    if not 1 <= m.round <= ROUND_LIMIT:
-        raise ValueError(f"{_ROUND_RULE}, got {m.round}")
-    if not 0 <= m.home_goals < _FIELD_LIMIT:
-        raise ValueError(f"{_GOALS_RULE}, got {m.home_goals}")
-    if not 0 <= m.away_goals < _FIELD_LIMIT:
-        raise ValueError(f"{_GOALS_RULE}, got {m.away_goals}")
-    if not m.season.strip():
+def _check_match(
+    season: str, rnd: int, home_team: str, away_team: str, home_goals: int, away_goals: int
+) -> None:
+    """Refuse a match no season holds. ``MatchRecord`` and a match file's
+    row reader both call this, so both refuse the same values with the same
+    message, and the column reader checks a file's columns by the same
+    rules. The first rule broken, in this order, names the fault."""
+    if not 1 <= rnd <= ROUND_LIMIT:
+        raise ValueError(f"{_ROUND_RULE}, got {shown(rnd)}")
+    if not 0 <= home_goals < _FIELD_LIMIT:
+        raise ValueError(f"{_GOALS_RULE}, got {shown(home_goals)}")
+    if not 0 <= away_goals < _FIELD_LIMIT:
+        raise ValueError(f"{_GOALS_RULE}, got {shown(away_goals)}")
+    if not season.strip():
         raise ValueError("season must not be blank")
-    if not m.home_team.strip():
+    if not home_team.strip():
         raise ValueError("home_team must not be blank")
-    if not m.away_team.strip():
+    if not away_team.strip():
         raise ValueError("away_team must not be blank")
-    if m.home_team == m.away_team:
-        raise ValueError(f"{m.home_team!r} cannot play itself")
+    if home_team == away_team:
+        raise ValueError(f"{home_team!r} cannot play itself")
 
 
 class MatchRecord(Record):
@@ -102,7 +113,7 @@ class MatchRecord(Record):
         values = (season, round, home_team, away_team, home_goals, away_goals)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-        _check_match(self)
+        _check_match(*values)
 
 
 class SeasonFrame:
@@ -119,7 +130,16 @@ class SeasonFrame:
     goal difference, points, goals for, then name.
     """
 
-    def __init__(self, teams: Sequence[str], matches: Sequence[MatchRecord]) -> None:
+    def __init__(
+        self,
+        teams: Sequence[str],
+        rounds: Sequence[int],
+        homes: Sequence[str],
+        aways: Sequence[str],
+        home_goals: Sequence[int],
+        away_goals: Sequence[int],
+    ) -> None:
+        """Tally the matches given as columns, one entry per match in each."""
         column = {team: i for i, team in enumerate(teams)}
         size = len(teams)
         tally = tuple([0] * size for _ in range(6))
@@ -131,24 +151,27 @@ class SeasonFrame:
         self.places = [_places(self.order[0])]
         self.gd_places = [self.places[0]]
         frame_rows = (*rows, self.order, self.places, self.gd_places)
-        round_of = attrgetter("round")
-        for rnd, round_matches in groupby(sorted(matches, key=round_of), round_of):
-            # the rounds since the last played one share its row
-            for frame_row in frame_rows:
-                frame_row.extend([frame_row[-1]] * (rnd - len(frame_row)))
-            for m in round_matches:
-                home, away = column[m.home_team], column[m.away_team]
-                home_goals, away_goals = m.home_goals, m.away_goals
+        home_columns, away_columns = map(column.__getitem__, homes), map(column.__getitem__, aways)
+        matches = zip(rounds, home_columns, away_columns, home_goals, away_goals)
+        # a file in round order, the usual one, is tallied as it stands
+        if rounds != sorted(rounds):
+            matches = sorted(matches, key=itemgetter(0))
+        for rnd, round_matches in groupby(matches, itemgetter(0)):
+            if rnd > len(self.order):
+                # the rounds since the last played one share its row
+                for frame_row in frame_rows:
+                    frame_row.extend([frame_row[-1]] * (rnd - len(frame_row)))
+            for _, home, away, home_score, away_score in round_matches:
                 played[home] += 1
                 played[away] += 1
-                gf[home] += home_goals
-                gf[away] += away_goals
-                gd[home] += home_goals - away_goals
-                gd[away] += away_goals - home_goals
-                if home_goals > away_goals:
+                gf[home] += home_score
+                gf[away] += away_score
+                gd[home] += home_score - away_score
+                gd[away] += away_score - home_score
+                if home_score > away_score:
                     points[home] += 3
                     won[home] += 1
-                elif home_goals < away_goals:
+                elif home_score < away_score:
                     points[away] += 3
                     won[away] += 1
                 else:
@@ -203,12 +226,35 @@ class SeasonDataset(Record):
     season: at least one match, one season id, and no team twice in a
     round. ``season`` (that id), ``teams`` (the names, sorted) and
     ``rounds`` (the largest round number) are read from the matches, and
-    ``_frame`` is the ``SeasonFrame`` tallied from them; none is a field."""
+    ``_frame`` is the ``SeasonFrame`` tallied from them; none is a field.
+    A parsed dataset holds its matches as checked columns until
+    ``matches`` is first read."""
 
     matches: tuple[MatchRecord, ...]
 
     def __init__(self, matches: Iterable[MatchRecord]) -> None:
-        _fill(self, tuple(matches), None)
+        records = tuple(matches)
+        if not records:
+            raise MatchFileError("no matches given")
+        seasons, *columns = (list(map(attrgetter(name), records)) for name in MATCH_FIELDS)
+        _fill(self, set(seasons), columns, lambda: _raise_season_fault(seasons, *columns[:3], None))
+        vars(self)["matches"] = records
+
+    def __getattr__(self, name: str):
+        # only a parsed dataset's matches are missing, until first read
+        if name != "matches" or "_columns" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # the parse has checked the columns, so each record is filled
+        # through its slots in place of being built by __init__
+        fill = [getattr(MatchRecord, field).__set__ for field in MATCH_FIELDS]
+        records = []
+        for values in zip(repeat(self.season), *vars(self).pop("_columns")):
+            record = object.__new__(MatchRecord)
+            for put, value in zip(fill, values):
+                put(record, value)
+            records.append(record)
+        vars(self)["matches"] = records = tuple(records)
+        return records
 
 
 class StandingsRow(Record):
@@ -230,41 +276,51 @@ class StandingsTable(Record):
     rows: tuple[StandingsRow, ...]
 
 
-def _fill(dataset: SeasonDataset, records: tuple, lines: Sequence[int] | None) -> SeasonDataset:
-    """Check ``records``, a tuple of matches, as one season, store them in
-    ``dataset`` with the values read from them, and return it. An error
-    about ``records[i]`` names ``lines[i]`` when lines are given."""
-    if not records:
-        raise MatchFileError("no matches given")
-    season = records[0].season
-    rounds = [m.round for m in records]
-    homes = [m.home_team for m in records]
-    aways = [m.away_team for m in records]
+def _fill(
+    dataset: SeasonDataset,
+    season_ids: set[str],
+    columns: list[list],
+    first_fault: Callable[[], object],
+) -> None:
+    """Check matches, given as their season ids and the columns rounds,
+    home and away teams and home and away goals, as one season, and store
+    in ``dataset`` the values read from them and their frame. When the
+    check fails, ``first_fault()`` raises the fault of the first match
+    that breaks it."""
+    rounds, homes, aways = columns[:3]
     slots = set(zip(rounds, homes))
     slots.update(zip(rounds, aways))
-    # a team twice in a round leaves fewer (round, team) pairs than team
-    # appearances; only then, or with a second season id, does the scan
-    # below run, to name the first clashing record
-    if len(slots) != 2 * len(records) or len({m.season for m in records}) != 1:
-        seen: set[tuple[int, str]] = set()
-        for i, m in enumerate(records):
-            home, away = (m.round, m.home_team), (m.round, m.away_team)
-            if m.season != season:
-                problem = f"mixed season ids {season!r} and {m.season!r}"
-            elif home in seen or away in seen:
-                team = m.home_team if home in seen else m.away_team
-                problem = f"team {team!r} appears twice in round {m.round}"
-            else:
-                seen.add(home)
-                seen.add(away)
-                continue
-            raise MatchFileError(problem if lines is None else f"line {lines[i]}: {problem}")
+    # a team twice in a round, or playing itself, leaves fewer (round,
+    # team) pairs than team appearances
+    if len(slots) != 2 * len(rounds) or len(season_ids) != 1:
+        first_fault()
+    (season,) = season_ids
     teams = tuple(sorted({*homes, *aways}))
-    frame = SeasonFrame(teams, records)
-    vars(dataset).update(
-        matches=records, season=season, teams=teams, rounds=max(rounds), _frame=frame
-    )
-    return dataset
+    frame = SeasonFrame(teams, *columns)
+    vars(dataset).update(season=season, teams=teams, rounds=max(rounds), _frame=frame)
+
+
+def _raise_season_fault(
+    seasons: list[str],
+    rounds: list[int],
+    homes: list[str],
+    aways: list[str],
+    lines: list[int] | None,
+) -> None:
+    """Raise the fault of the first match, in order, whose season id is not
+    the first match's or whose round already holds one of its teams. An
+    error about match i names ``lines[i]`` when lines are given."""
+    seen: set[tuple[int, str]] = set()
+    for i, (season, rnd, home, away) in enumerate(zip(seasons, rounds, homes, aways)):
+        if season != seasons[0]:
+            problem = f"mixed season ids {seasons[0]!r} and {season!r}"
+        elif (rnd, home) in seen or (rnd, away) in seen:
+            team = home if (rnd, home) in seen else away
+            problem = f"team {team!r} appears twice in round {rnd}"
+        else:
+            seen.update(((rnd, home), (rnd, away)))
+            continue
+        raise MatchFileError(problem if lines is None else f"line {lines[i]}: {problem}")
 
 
 def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
@@ -285,17 +341,21 @@ def parse_matches(source: str | Path | IO[str]) -> SeasonDataset:
 
 
 def _parse_text(text: str) -> SeasonDataset:
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        return _read_matches(reader)
-    except csv.Error as exc:
-        raise MatchFileError(f"line {reader.line_num}: {exc}") from None
+    """The dataset of a match file's text. A file that keeps every rule is
+    read and checked as columns; only one that breaks a rule is read again
+    row by row, to name its first fault."""
+    read = _read_columns(text)
+    if read is None:
+        read = _read_rows(text)
+    season_ids, *columns = read
+    dataset = object.__new__(SeasonDataset)
+    _fill(dataset, season_ids, columns, lambda: _read_rows(text))
+    vars(dataset)["_columns"] = columns
+    return dataset
 
 
-def _read_matches(reader) -> SeasonDataset:
-    """The dataset of a ``csv.reader``'s rows. Each row is read once and each
-    check runs once: a record is filled through its slots, not built by
-    ``__init__``, and checked, and so is the dataset, by ``_fill``."""
+def _columns_at(reader) -> list[int]:
+    """Where each of ``MATCH_FIELDS`` is in a row, read from the header."""
     header = next(reader, None)
     if header is None:
         raise MatchFileError("empty input: no header row")
@@ -304,54 +364,100 @@ def _read_matches(reader) -> SeasonDataset:
         raise MatchFileError(
             f"line 1: expected header {','.join(MATCH_FIELDS)}, got {','.join(header)}"
         )
-    season_at, round_at, home_at, away_at, home_goals_at, away_goals_at = map(
-        header.index, MATCH_FIELDS
-    )
-    width = len(MATCH_FIELDS)
-    new = object.__new__
-    put_season, put_round, put_home, put_away, put_home_goals, put_away_goals = (
-        getattr(MatchRecord, name).__set__ for name in MatchRecord.__slots__
-    )
-    records: list[MatchRecord] = []
+    return list(map(header.index, MATCH_FIELDS))
+
+
+def _read_columns(text: str) -> tuple | None:
+    """A match file's set of season ids and its columns rounds, home and
+    away teams and home and away goals, each checked as a whole by the
+    rules of ``_check_match``; None, and no error, when the csv reader
+    refuses the text or any row breaks a rule. A team that plays itself
+    is left to the season check: it takes its round's place twice. The
+    rows are read a chunk at a time and each chunk's fields a column at a
+    time."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    season_ids: set[str] = set()
+    columns = rounds, homes, aways, home_goals, away_goals = [], [], [], [], []
+    try:
+        season_at, *columns_at = _columns_at(reader)
+        rows = filter(None, reader)  # a blank line is no row
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            # strict: every row has as many fields as the first
+            fields = list(zip(*chunk, strict=True))
+            if len(fields) != len(MATCH_FIELDS):
+                return None
+            season_ids.update(map(str.strip, fields[season_at]))
+            for column, at, read in zip(columns, columns_at, (int, str.strip, str.strip, int, int)):
+                column.extend(map(read, fields[at]))
+    except (csv.Error, ValueError):
+        return None
+    if (
+        not rounds
+        or min(rounds) < 1
+        or max(rounds) > ROUND_LIMIT
+        or min(min(home_goals), min(away_goals)) < 0
+        or max(max(home_goals), max(away_goals)) >= _FIELD_LIMIT
+        or "" in season_ids
+        or "" in homes
+        or "" in aways
+    ):
+        return None
+    return season_ids, *columns
+
+
+def _read_rows(text: str) -> tuple:
+    """A match file's columns as ``_read_columns`` gives them, read and
+    checked row by row, or the file's first fault in file order: the
+    first row that the csv reader refuses or that breaks a rule, and
+    then the first match that breaks the season check."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    columns = seasons, rounds, homes, aways, home_goals, away_goals = [], [], [], [], [], []
     lines: list[int] = []
-    for row in reader:
-        if len(row) != width:
-            if not row:
-                continue
-            raise MatchFileError(f"line {reader.line_num}: expected {width} fields, got {len(row)}")
-        record = new(MatchRecord)
-        try:
-            put_round(record, int(row[round_at]))
-            put_home_goals(record, int(row[home_goals_at]))
-            put_away_goals(record, int(row[away_goals_at]))
-        except ValueError:
-            # name the first integer field, in record order, that int() refuses;
-            # one of more digits than int() reads breaks the field's range
-            for name, at, rule in (
-                ("round", round_at, _ROUND_RULE),
-                ("home_goals", home_goals_at, _GOALS_RULE),
-                ("away_goals", away_goals_at, _GOALS_RULE),
-            ):
-                try:
-                    int(row[at])
-                except ValueError:
-                    if digits := overlong_integer_digits(row[at]):
-                        fault = f"{rule}, got {digits} digits"
-                    else:
-                        fault = f"{name} must be an integer, got {row[at]!r}"
-                    raise MatchFileError(f"line {reader.line_num}: {fault}") from None
-        put_season(record, row[season_at].strip())
-        put_home(record, row[home_at].strip())
-        put_away(record, row[away_at].strip())
-        try:
-            _check_match(record)
-        except ValueError as exc:
-            raise MatchFileError(f"line {reader.line_num}: {exc}") from None
-        records.append(record)
-        lines.append(reader.line_num)
-    if not records:
+    width = len(MATCH_FIELDS)
+    try:
+        season_at, round_at, home_at, away_at, home_goals_at, away_goals_at = _columns_at(reader)
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise MatchFileError(
+                    f"line {reader.line_num}: expected {width} fields, got {len(row)}"
+                )
+            try:
+                rnd, home_score, away_score = (
+                    int(row[round_at]), int(row[home_goals_at]), int(row[away_goals_at])
+                )
+            except ValueError:
+                # name the first integer field, in record order, that int() refuses;
+                # one of more digits than int() reads breaks the field's range
+                for name, at, rule in (
+                    ("round", round_at, _ROUND_RULE),
+                    ("home_goals", home_goals_at, _GOALS_RULE),
+                    ("away_goals", away_goals_at, _GOALS_RULE),
+                ):
+                    try:
+                        int(row[at])
+                    except ValueError:
+                        if digits := overlong_integer_digits(row[at]):
+                            fault = f"{rule}, got {digits} digits"
+                        else:
+                            fault = f"{name} must be an integer, got {row[at]!r}"
+                        raise MatchFileError(f"line {reader.line_num}: {fault}") from None
+            season, home, away = row[season_at].strip(), row[home_at].strip(), row[away_at].strip()
+            values = (season, rnd, home, away, home_score, away_score)
+            try:
+                _check_match(*values)
+            except ValueError as exc:
+                raise MatchFileError(f"line {reader.line_num}: {exc}") from None
+            for column, value in zip(columns, values):
+                column.append(value)
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise MatchFileError(f"line {reader.line_num}: {exc}") from None
+    if not lines:
         raise MatchFileError("empty input: no match rows")
-    return _fill(new(SeasonDataset), tuple(records), lines)
+    _raise_season_fault(seasons, rounds, homes, aways, lines)
+    return set(seasons), rounds, homes, aways, home_goals, away_goals
 
 
 def _tables(dataset: SeasonDataset, rounds: Sequence[int]) -> list[StandingsTable]:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Hashable, Iterator, Sequence
 
 from ._record import Record
+from .textfile import shown
 
 # Enumeration holds all n! permutations in memory at once, so it stops
 # here; check_enumerable is the one check of it.
@@ -37,14 +38,6 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _shown(n: int) -> str:
-    """``n`` in digits, or its size if str() refuses it for its length."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"an integer of {n.bit_length()} bits"
-
-
 def check_sizes(
     n: int | None,
     samples: int | None = None,
@@ -55,15 +48,15 @@ def check_sizes(
     samples above ``MC_MAX_WORK``, naming each as given; a None is not checked."""
     if n is not None and not 2 <= (n := _integer(n, n_name)) <= STATS_MAX_N:
         bound = "at least 2" if n < 2 else f"at most {STATS_MAX_N}"
-        raise ValueError(f"{n_name} must be {bound}, got {_shown(n)}")
+        raise ValueError(f"{n_name} must be {bound}, got {shown(n)}")
     if samples is None:
         return
     if (samples := _integer(samples, samples_name)) < 1:
-        raise ValueError(f"{samples_name} must be at least 1, got {_shown(samples)}")
+        raise ValueError(f"{samples_name} must be at least 1, got {shown(samples)}")
     if n is not None and n * samples > MC_MAX_WORK:
         raise ValueError(
             f"{samples_name} must be at most {MC_MAX_WORK // n} at {n_name} {n}, so that "
-            f"{n_name} x {samples_name} stays within {MC_MAX_WORK}, got {_shown(samples)}"
+            f"{n_name} x {samples_name} stays within {MC_MAX_WORK}, got {shown(samples)}"
         )
 
 
@@ -72,7 +65,7 @@ def check_enumerable(n: int, name: str = "league size") -> None:
     then what ``check_sizes`` refuses, naming n as given."""
     if (n := _integer(n, name)) > ORACLE_MAX_N:
         raise OracleCapError(
-            f"{name} must be at most {ORACLE_MAX_N}, the enumeration ceiling, got {_shown(n)}"
+            f"{name} must be at most {ORACLE_MAX_N}, the enumeration ceiling, got {shown(n)}"
         )
     check_sizes(n, n_name=name)
 
@@ -80,7 +73,7 @@ def check_enumerable(n: int, name: str = "league size") -> None:
 def check_seed(seed: int | None, name: str = "seed") -> None:
     """Refuse a seed that is not an integer in 0..2**64-1; a None is not checked."""
     if seed is not None and not 0 <= _integer(seed, name) < 1 << 64:
-        raise ValueError(f"{name} must be within 0..2**64-1, got {_shown(seed)}")
+        raise ValueError(f"{name} must be within 0..2**64-1, got {shown(seed)}")
 
 
 class DimensionMismatchError(ValueError):

@@ -83,6 +83,9 @@ def evaluate_season(
     baseline = permstats.score_stats(n).expected_mae
     exact = str(baseline_fraction) if isinstance(baseline_fraction, float) else baseline_fraction
     cutoff = Fraction(exact) * baseline
+    # a round's MAE, abs_sum / n, is below the cutoff exactly when
+    # abs_sum * denominator < numerator * n: integers, no Fraction per round
+    denominator, scaled_numerator = cutoff.denominator, cutoff.numerator * n
     final = frame.places[-1]
     squares = sum(map(mul, final, final))
 
@@ -106,7 +109,7 @@ def evaluate_season(
                     round=rnd, strategy=strategy, mae=value, mse=Fraction(sq_sum, n)
                 )
             )
-            if threshold_rounds[strategy] is None and value < cutoff:
+            if threshold_rounds[strategy] is None and abs_sum * denominator < scaled_numerator:
                 threshold_rounds[strategy] = rnd
         if sums[STRATEGY_GD][rnd - 1][0] < sums[STRATEGY_RANK][rnd - 1][0]:
             gd_better.append(rnd)

@@ -4,6 +4,10 @@ The match reader, and the table reader for CSV, hand the text to
 ``csv.reader`` through ``io.StringIO(text, newline="")``, so in either
 file a line ends only at ``\n``, ``\r\n`` or ``\r``; any other Unicode
 line break is part of a cell.
+
+It also holds what the readers and the checks share about integers too
+long for ``str()`` and ``int()``: how a refusal shows one, and how a
+reader tells one from a text that is no integer.
 """
 
 from __future__ import annotations
@@ -23,6 +27,15 @@ def read_text(path: str | Path) -> str:
         # \r\n, a lone \r and \n each end one line, as they do for csv.reader
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"line {line}: not valid {exc.encoding}: {exc.reason}") from None
+
+
+def shown(value) -> str:
+    """``value`` as ``str()`` gives it, or an integer's size if ``str()``
+    refuses it for its length (more than 4300 digits by default)."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
 
 
 def overlong_integer_digits(text: str) -> int:

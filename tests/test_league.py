@@ -1,3 +1,4 @@
+import gc
 import io
 import pickle
 from math import comb
@@ -118,9 +119,43 @@ class TestParsing:
         dataset = parse_text(text)
         assert dataset.matches[0] == MatchRecord("S", 1, "A", "B", 2, 0)
 
+    def test_a_parsed_file_builds_its_records_when_they_are_first_read(self, synthetic_path):
+        def records_alive() -> int:
+            gc.collect()
+            return sum(type(o) is MatchRecord for o in gc.get_objects())
+
+        before = records_alive()
+        dataset = parse_matches(synthetic_path)
+        assert standings_series(dataset)
+        assert records_alive() == before
+        matches = dataset.matches
+        assert records_alive() == before + len(matches) == before + 182
+        assert dataset.matches is matches
+        built = synthetic_season(14, seed=7, season="synthetic-2016")
+        assert matches == built.matches
+        assert dataset == built
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 7])
+    def test_a_file_reads_the_same_in_chunks_of_any_size(
+        self, monkeypatch, synthetic_dataset, chunk_rows
+    ):
+        lines = matches_csv(synthetic_dataset).splitlines(keepends=True)
+        # blank lines, some at the start of a chunk, are no rows
+        text = "".join(lines[:3] + ["\n"] * 9 + lines[3:])
+        broken = "".join(lines[:30] + ["S,1,A,B,0\n"] + lines[30:])
+        monkeypatch.setattr(league, "_CHUNK_ROWS", chunk_rows)
+        dataset = parse_text(text)
+        assert dataset == synthetic_dataset
+        assert vars(dataset._frame) == vars(synthetic_dataset._frame)
+        with pytest.raises(MatchFileError) as info:
+            parse_text(broken)
+        assert str(info.value) == "line 31: expected 6 fields, got 5"
+
 
 LIMIT = "2147483647"
 ROUNDS = "1..2000"
+# how a refusal shows 10**5000, which str() refuses for its length
+LONG_SHOWN = "an integer of 16610 bits"
 
 # (rows after the header, the full message); every row-level error is found
 # before any season or duplicate error, whatever the order of the lines
@@ -259,6 +294,20 @@ class TestRejections:
         with pytest.raises(MatchFileError) as parsed:
             parse_text(HEADER + ",".join(map(str, values)) + "\n")
         assert str(parsed.value) == f"line 2: {in_code.value}"
+
+    @pytest.mark.parametrize(
+        ("values", "message"),
+        [
+            (("S", 10**5000, "A", "B", 0, 0), f"round must be in {ROUNDS}, got {LONG_SHOWN}"),
+            (("S", 1, "A", "B", -(10**5000), 0), f"goals must be in 0..{LIMIT}, got {LONG_SHOWN}"),
+            (("S", 1, "A", "B", 0, 10**5000), f"goals must be in 0..{LIMIT}, got {LONG_SHOWN}"),
+        ],
+        ids=["round", "home-goals", "away-goals"],
+    )
+    def test_an_integer_too_long_to_print_breaks_its_range_in_code(self, values, message):
+        with pytest.raises(ValueError) as info:
+            MatchRecord(*values)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(("values", "message"), MULTI_FAULT)
     def test_first_broken_rule_names_the_fault(self, values, message):

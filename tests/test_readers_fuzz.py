@@ -160,3 +160,143 @@ def test_a_match_file_reads_the_same_from_a_path_or_a_stream(tmp_path, text):
     from_stream = parse_matches(io.StringIO(text))
     assert from_stream == from_path
     assert vars(from_stream._frame) == vars(from_path._frame)
+
+
+ROUND_RULE = f"round must be in 1..{ROUND_LIMIT}"
+GOALS_RULE = f"goals must be in 0..{2**31 - 1}"
+LONG = "9" * 5000  # more digits than int() reads
+
+# Ways to break one row of a valid file: new texts for a field's cell, or
+# None for a change made below. "second-season" gives the row another
+# season id, and "no-season" gives every row a blank one. "self-play"
+# gives the row its home team as the away team, and "twice" another row's
+# round and one of that row's teams, so that team plays twice in a round.
+# "short" and "long" drop or add a cell, and "blank" puts a blank line,
+# which is no row, before the row.
+BREAKS = {
+    "round": ["0", str(ROUND_LIMIT + 1), "-1", "x", "1.5", LONG, "-" + LONG],
+    "home_goals": ["-1", str(2**31), "two", LONG],
+    "away_goals": ["-3", str(2**31 + 5), " ", " " + LONG + " "],
+    "season": ["", "  "],
+    "home_team": ["", "  "],
+    "away_team": ["", "  "],
+    "second-season": ["other season"],
+    **dict.fromkeys(["no-season", "self-play", "twice", "short", "long", "blank"], [None]),
+}
+
+
+@st.composite
+def broken_match_files(draw) -> tuple[str, list[list[str]], list[int]]:
+    """A valid match file with 0-3 of its rows broken: its text, its lines
+    after the header as lists of cells in the file's column order (a blank
+    line as []), and where each field is in a row."""
+    season = draw(NAMES)
+    teams = draw(st.lists(NAMES, min_size=2, max_size=6, unique=True))
+    rows = []
+    for rnd in draw(st.lists(st.integers(1, ROUND_LIMIT), min_size=1, max_size=4, unique=True)):
+        playing = draw(st.permutations(teams))
+        for i in range(draw(st.integers(1, len(teams) // 2))):
+            values = (season, rnd, playing[2 * i], playing[2 * i + 1], draw(GOALS), draw(GOALS))
+            rows.append(dict(zip(MATCH_FIELDS, map(str, values))))
+    marks: list[set[str]] = [set() for _ in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        field = draw(st.sampled_from(list(BREAKS)))
+        text = draw(st.sampled_from(BREAKS[field]))
+        if field == "second-season":
+            rows[i]["season"] = text
+        elif field == "no-season":
+            for row in rows:
+                row["season"] = " "
+        elif field == "self-play":
+            rows[i]["away_team"] = rows[i]["home_team"]
+        elif field == "twice" and len(rows) > 1:
+            j = draw(st.integers(0, len(rows) - 2))
+            other = rows[j + (j >= i)]
+            team = draw(st.sampled_from([other["home_team"], other["away_team"]]))
+            rows[i]["round"] = other["round"]
+            rows[i]["home_team" if team != rows[i]["away_team"] else "away_team"] = team
+        elif field in ("short", "long", "blank"):
+            marks[i].add(field)
+        else:
+            rows[i][field] = text
+    columns = draw(st.permutations(MATCH_FIELDS))
+    lines: list[list[str]] = []
+    for row, marked in zip(rows, marks):
+        cells = [draw(PADDING) + row[field] + draw(PADDING) for field in columns]
+        if "blank" in marked:
+            lines.append([])
+        if "short" in marked:
+            cells.pop()
+        if "long" in marked:
+            cells.append("0")
+        lines.append(cells)
+    text = "".join(",".join(cells) + "\n" for cells in [list(columns), *lines])
+    return text, lines, [columns.index(field) for field in MATCH_FIELDS]
+
+
+def first_fault(lines: list[list[str]], at: list[int]) -> str | list[tuple]:
+    """The message of a file's first fault, walking its rows one by one by
+    the match-file rules; or, for a file that keeps them, its matches.
+
+    A row is checked for its width, then its integers (round, home goals,
+    away goals), then its values, each rule in its order; only when every
+    row keeps them is the season checked, match by match."""
+    matches: list[tuple] = []
+    for number, cells in enumerate(lines, start=2):
+        if not cells:
+            continue
+        if len(cells) != len(MATCH_FIELDS):
+            return f"line {number}: expected {len(MATCH_FIELDS)} fields, got {len(cells)}"
+        season, rnd, home, away, home_goals, away_goals = (cells[k] for k in at)
+        integers = []
+        for name, text, rule in (
+            ("round", rnd, ROUND_RULE),
+            ("home_goals", home_goals, GOALS_RULE),
+            ("away_goals", away_goals, GOALS_RULE),
+        ):
+            try:
+                integers.append(int(text))
+            except ValueError:
+                digits = text.strip().lstrip("+-")
+                if digits.isdigit():
+                    return f"line {number}: {rule}, got {len(digits)} digits"
+                return f"line {number}: {name} must be an integer, got {text!r}"
+        rnd, home_goals, away_goals = integers
+        season, home, away = season.strip(), home.strip(), away.strip()
+        for broken, message in (
+            (not 1 <= rnd <= ROUND_LIMIT, f"{ROUND_RULE}, got {rnd}"),
+            (not 0 <= home_goals < 2**31, f"{GOALS_RULE}, got {home_goals}"),
+            (not 0 <= away_goals < 2**31, f"{GOALS_RULE}, got {away_goals}"),
+            (not season, "season must not be blank"),
+            (not home, "home_team must not be blank"),
+            (not away, "away_team must not be blank"),
+            (home == away, f"{home!r} cannot play itself"),
+        ):
+            if broken:
+                return f"line {number}: {message}"
+        matches.append((number, (season, rnd, home, away, home_goals, away_goals)))
+    first_season = matches[0][1][0]
+    seen: set[tuple[int, str]] = set()
+    for number, (season, rnd, home, away, _, _) in matches:
+        if season != first_season:
+            return f"line {number}: mixed season ids {first_season!r} and {season!r}"
+        for team in (home, away):
+            if (rnd, team) in seen:
+                return f"line {number}: team {team!r} appears twice in round {rnd}"
+        seen.update(((rnd, home), (rnd, away)))
+    return [values for _, values in matches]
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_match_files())
+def test_a_broken_file_is_refused_by_its_first_fault_in_file_order(case):
+    text, lines, at = case
+    want = first_fault(lines, at)
+    if isinstance(want, str):
+        with pytest.raises(MatchFileError) as refused:
+            parse_matches(io.StringIO(text))
+        assert str(refused.value) == want
+        return
+    parsed = parse_matches(io.StringIO(text))
+    assert parsed == SeasonDataset(MatchRecord(*values) for values in want)

@@ -153,10 +153,7 @@ class SeasonFrame:
         frame_rows = (*rows, self.order, self.places, self.gd_places)
         home_columns, away_columns = map(column.__getitem__, homes), map(column.__getitem__, aways)
         matches = zip(rounds, home_columns, away_columns, home_goals, away_goals)
-        # a file in round order, the usual one, is tallied as it stands
-        if rounds != sorted(rounds):
-            matches = sorted(matches, key=itemgetter(0))
-        for rnd, round_matches in groupby(matches, itemgetter(0)):
+        for rnd, round_matches in groupby(sorted(matches, key=itemgetter(0)), itemgetter(0)):
             if rnd > len(self.order):
                 # the rounds since the last played one share its row
                 for frame_row in frame_rows:
@@ -242,18 +239,26 @@ class SeasonDataset(Record):
 
     def __getattr__(self, name: str):
         # only a parsed dataset's matches are missing, until first read
-        if name != "matches" or "_columns" not in vars(self):
+        fields = vars(self)
+        columns = fields.get("_columns") if name == "matches" else None
+        if columns is None:
+            # the matches are stored before the columns are dropped, so
+            # a thread that finds no columns finds the matches
+            if name == "matches" and "matches" in fields:
+                return fields["matches"]
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         # the parse has checked the columns, so each record is filled
         # through its slots in place of being built by __init__
         fill = [getattr(MatchRecord, field).__set__ for field in MATCH_FIELDS]
         records = []
-        for values in zip(repeat(self.season), *vars(self).pop("_columns")):
+        for values in zip(repeat(self.season), *columns):
             record = object.__new__(MatchRecord)
             for put, value in zip(fill, values):
                 put(record, value)
             records.append(record)
-        vars(self)["matches"] = records = tuple(records)
+        # the first tuple stored is the one every reader gets
+        records = fields.setdefault("matches", tuple(records))
+        fields.pop("_columns", None)
         return records
 
 

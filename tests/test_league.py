@@ -1,6 +1,8 @@
 import gc
 import io
 import pickle
+import sys
+import threading
 from math import comb
 
 import pytest
@@ -135,6 +137,34 @@ class TestParsing:
         assert matches == built.matches
         assert dataset == built
 
+    def test_threads_reading_the_records_first_all_get_one_tuple(self, synthetic_path):
+        # switching threads as often as possible lets one read while
+        # another builds the records
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                dataset = parse_matches(synthetic_path)
+                start = threading.Barrier(4)
+                got, errors = [], []
+
+                def read():
+                    start.wait()
+                    try:
+                        got.append(dataset.matches)
+                    except Exception as error:
+                        errors.append(error)
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert errors == []
+                assert len(got) == 4 and all(matches is dataset.matches for matches in got)
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("chunk_rows", [1, 2, 7])
     def test_a_file_reads_the_same_in_chunks_of_any_size(
         self, monkeypatch, synthetic_dataset, chunk_rows
@@ -197,6 +227,14 @@ MULTI_FAULT = [
     (("", 1, "A", "A", 0, 0), "season must not be blank"),
     ((" ", 1, "A", "", 0, 0), "season must not be blank"),
     (("S", 1, " ", " ", 0, 0), "home_team must not be blank"),
+]
+
+# Records holding an integer too long for str(), which the parser cannot
+# get (it reports such a text by its digits), and the range they break.
+LONG_FAULTS = [
+    (("S", 10**5000, "A", "B", 0, 0), f"round must be in {ROUNDS}, got {LONG_SHOWN}"),
+    (("S", 1, "A", "B", -(10**5000), 0), f"goals must be in 0..{LIMIT}, got {LONG_SHOWN}"),
+    (("S", 1, "A", "B", 0, 10**5000), f"goals must be in 0..{LIMIT}, got {LONG_SHOWN}"),
 ]
 
 
@@ -295,21 +333,7 @@ class TestRejections:
             parse_text(HEADER + ",".join(map(str, values)) + "\n")
         assert str(parsed.value) == f"line 2: {in_code.value}"
 
-    @pytest.mark.parametrize(
-        ("values", "message"),
-        [
-            (("S", 10**5000, "A", "B", 0, 0), f"round must be in {ROUNDS}, got {LONG_SHOWN}"),
-            (("S", 1, "A", "B", -(10**5000), 0), f"goals must be in 0..{LIMIT}, got {LONG_SHOWN}"),
-            (("S", 1, "A", "B", 0, 10**5000), f"goals must be in 0..{LIMIT}, got {LONG_SHOWN}"),
-        ],
-        ids=["round", "home-goals", "away-goals"],
-    )
-    def test_an_integer_too_long_to_print_breaks_its_range_in_code(self, values, message):
-        with pytest.raises(ValueError) as info:
-            MatchRecord(*values)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize(("values", "message"), MULTI_FAULT)
+    @pytest.mark.parametrize(("values", "message"), [*MULTI_FAULT, *LONG_FAULTS])
     def test_first_broken_rule_names_the_fault(self, values, message):
         with pytest.raises(ValueError) as info:
             MatchRecord(*values)
